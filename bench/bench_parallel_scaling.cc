@@ -12,11 +12,15 @@
 // The second section scales the reactor fleet instead of the workers: the
 // same 4 worker threads drive 8 / 64 / 512 / 2048 simulated guests through
 // the sharded EventLoop topology (DESIGN.md §12), reporting wall time,
-// execs/sec and the peak OS-thread count sampled from /proc/self/status.
-// The fleet's scaling claim is structural — guests are state machines, not
-// threads — so peak threads must stay at workers + harness regardless of
-// fleet size. Emits BENCH_fleet.json; scripts/check.sh's `fleet` stage
-// guards the thread ceiling and the 2048-guest wall-clock budget.
+// execs/sec, the peak OS-thread count sampled from /proc/self/status and
+// the row's peak resident memory (VmHWM, reset before each row through
+// /proc/self/clear_refs). The fleet's scaling claim is structural — guests
+// are state machines, not threads, and fleet guests of one lane share one
+// in-guest agent — so peak threads must stay at workers + harness and peak
+// memory must stay nearly flat regardless of fleet size. Emits
+// BENCH_fleet.json; scripts/check.sh's `fleet` stage guards the thread
+// ceiling, the 8 -> 2048-guest memory growth and the 2048-guest wall-clock
+// budget.
 //
 // Usage: bench_parallel_scaling [total_execs] [fleet_execs]
 //        (defaults 4000 and total_execs)
@@ -97,12 +101,41 @@ size_t CurrentThreads() {
   return threads;
 }
 
+// Starts a fresh peak-RSS window: writing 5 to clear_refs resets VmHWM to
+// the current RSS. Without it (non-Linux, or a kernel that refuses) the
+// peak stays process-wide and only ever grows across rows.
+void ResetPeakRss() {
+  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
+  if (f != nullptr) {
+    std::fputs("5", f);
+    std::fclose(f);
+  }
+}
+
+// Peak resident memory (VmHWM) in MiB; 0 when /proc is unavailable.
+double PeakRssMb() {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0.0;
+  }
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return static_cast<double>(kb) / 1024.0;
+}
+
 struct FleetRow {
   size_t fleet = 0;
   size_t shards = 0;
   double wall_secs = 0.0;
   double execs_per_sec = 0.0;
   size_t peak_threads = 0;
+  double peak_rss_mb = 0.0;
 };
 
 constexpr size_t kFleetWorkers = 4;
@@ -123,6 +156,7 @@ FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
     }
   });
 
+  ResetPeakRss();
   ParallelOptions options;
   options.tool = ToolKind::kHealer;
   options.seed = 7;
@@ -141,6 +175,7 @@ FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
           .count();
   stop.store(true);
   sampler.join();
+  const double peak_rss_mb = PeakRssMb();
 
   FleetRow row;
   row.fleet = fleet_size;
@@ -150,6 +185,7 @@ FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
       wall_secs > 0.0 ? static_cast<double>(result.fuzz_execs) / wall_secs
                       : 0.0;
   row.peak_threads = peak.load();
+  row.peak_rss_mb = peak_rss_mb;
   return row;
 }
 
@@ -192,16 +228,17 @@ int Main(int argc, char** argv) {
   bench::PrintHeader(
       "Reactor fleet scaling: simulated guests on a fixed 4-worker pool",
       "DESIGN.md §12; guests are event-loop state machines, not threads");
-  std::printf("%8s %8s %12s %14s %14s\n", "guests", "shards", "wall-secs",
-              "execs/sec", "peak-threads");
+  std::printf("%8s %8s %12s %14s %14s %14s\n", "guests", "shards",
+              "wall-secs", "execs/sec", "peak-threads", "peak-rss-mb");
   std::vector<std::pair<std::string, double>> fleet_metrics;
   fleet_metrics.emplace_back("workers", static_cast<double>(kFleetWorkers));
   fleet_metrics.emplace_back("fleet_execs",
                              static_cast<double>(fleet_execs));
   for (size_t fleet : {8, 64, 512, 2048}) {
     const FleetRow row = RunFleet(fleet, fleet_execs);
-    std::printf("%8zu %8zu %12.3f %14.0f %14zu\n", row.fleet, row.shards,
-                row.wall_secs, row.execs_per_sec, row.peak_threads);
+    std::printf("%8zu %8zu %12.3f %14.0f %14zu %14.1f\n", row.fleet,
+                row.shards, row.wall_secs, row.execs_per_sec,
+                row.peak_threads, row.peak_rss_mb);
     const std::string prefix = "fleet" + std::to_string(fleet) + "_";
     fleet_metrics.emplace_back(prefix + "shards",
                                static_cast<double>(row.shards));
@@ -209,6 +246,7 @@ int Main(int argc, char** argv) {
     fleet_metrics.emplace_back(prefix + "execs_per_sec", row.execs_per_sec);
     fleet_metrics.emplace_back(prefix + "peak_threads",
                                static_cast<double>(row.peak_threads));
+    fleet_metrics.emplace_back(prefix + "peak_rss_mb", row.peak_rss_mb);
     // The structural budget: workers + shards + the harness's own main and
     // sampler threads. The check.sh guard compares peak against this.
     fleet_metrics.emplace_back(
@@ -216,8 +254,8 @@ int Main(int argc, char** argv) {
         static_cast<double>(kFleetWorkers + row.shards + 2));
   }
   bench::PrintRule();
-  std::printf("guests are reactor state machines: the thread count must not "
-              "scale with the fleet\n");
+  std::printf("guests are reactor state machines sharing one agent per "
+              "lane: neither threads nor memory may scale with the fleet\n");
   bench::WriteBenchJson("fleet", fleet_metrics);
   return 0;
 }

@@ -4,8 +4,8 @@
 # telemetry stage (smoke-test the observability surfaces + hot-path
 # overhead guard against a -DHEALER_NO_TELEMETRY baseline build), and a
 # parallel stage (scaling-bench smoke + critical-section-share guard), a
-# fleet stage (reactor-fleet scaling: OS-thread ceiling + wall-clock budget
-# + storm determinism tests), a
+# fleet stage (reactor-fleet scaling: OS-thread ceiling + memory-growth
+# guard + wall-clock budget + storm determinism tests), a
 # relation stage (snapshot-Select speedup guard + draw-determinism tests),
 # an exec stage (ring-transport replay bench + speedup guard), an
 # introspect stage (live HTTP endpoints, journal export, postmortem-bundle
@@ -151,7 +151,7 @@ run_parallel() {
 }
 
 run_fleet() {
-  echo "==> fleet: reactor scaling bench + thread-ceiling/wall-clock guards"
+  echo "==> fleet: reactor scaling bench + thread-ceiling/memory/wall-clock guards"
   cmake -B build -S . >/dev/null
   cmake --build build -j"$jobs" --target bench_parallel_scaling healer_tests
   local tmp
@@ -165,16 +165,30 @@ run_fleet() {
   # process's peak OS-thread count must stay within workers + shards + the
   # bench harness's own two threads (main + sampler). peak_threads reads 0
   # only when /proc is unavailable, which skips the guard.
-  awk '
-    /"fleet2048_peak_threads"/ { gsub(/[^0-9.]/, ""); peak=$0+0 }
-    /"fleet2048_thread_budget"/ { gsub(/[^0-9.]/, ""); budget=$0+0 }
+  awk -F: '
+    /"fleet2048_peak_threads"/ { gsub(/[ ,]/, "", $2); peak=$2+0 }
+    /"fleet2048_thread_budget"/ { gsub(/[ ,]/, "", $2); budget=$2+0 }
     END {
       if (budget == 0) { print "FAIL: fleet2048_thread_budget missing"; exit 1 }
       printf "    2048-guest peak OS threads: %d (budget %d)\n", peak, budget;
       if (peak == 0) { print "    (no /proc/self/status; ceiling skipped)"; exit 0 }
       if (peak > budget) { print "FAIL: thread count scales with fleet size"; exit 1 }
     }' "$tmp/BENCH_fleet.json"
-  # Guard 2 — wall-clock budget: the 2048-guest smoke config measures ~2.6s
+  # Guard 2 — memory follows lanes, not guests: fleet guests of one lane
+  # share one in-guest agent (executor + shm data plane), so the 2048-guest
+  # row may peak at most 64 MiB above the 8-guest row (measured: ~5 MiB;
+  # one private agent per guest used to cost ~3 MiB each, 4.9 GiB at 2048).
+  # peak_rss_mb reads 0 only when /proc is unavailable, which skips it.
+  awk -F: '
+    /"fleet8_peak_rss_mb"/ { gsub(/[ ,]/, "", $2); small=$2+0; seen8=1 }
+    /"fleet2048_peak_rss_mb"/ { gsub(/[ ,]/, "", $2); big=$2+0; seen2048=1 }
+    END {
+      if (!seen8 || !seen2048) { print "FAIL: fleet peak_rss_mb rows missing"; exit 1 }
+      printf "    peak RSS: %.1f MiB at 8 guests, %.1f MiB at 2048 (growth budget 64 MiB)\n", small, big;
+      if (small == 0 || big == 0) { print "    (no VmHWM in /proc/self/status; memory guard skipped)"; exit 0 }
+      if (big - small > 64) { print "FAIL: fleet memory scales with guest count"; exit 1 }
+    }' "$tmp/BENCH_fleet.json"
+  # Guard 3 — wall-clock budget: the 2048-guest smoke config measures ~0.6s
   # here; 30s is the regression tripwire (an accidental O(fleet) hot path or
   # a reactor spin shows up as an order-of-magnitude blowup, not seconds).
   awk -F: '/"fleet2048_wall_secs"/ {

@@ -26,74 +26,73 @@ const char* VmStateName(VmState state) {
   return "?";
 }
 
+VmTelemetry VmTelemetry::Resolve(MetricRegistry* metrics) {
+  VmTelemetry tm;
+  if (metrics == nullptr) {
+    return tm;
+  }
+  metrics->SetHelp("healer_vm_execs_total",
+                   "Programs executed by the VM fleet.");
+  tm.execs = metrics->GetCounter("healer_vm_execs_total");
+  metrics->SetHelp("healer_vm_reboots_total",
+                   "Guest reboots after crashes and boot failures.");
+  tm.reboots = metrics->GetCounter("healer_vm_reboots_total");
+  metrics->SetHelp("healer_vm_rtt_ns",
+                   "Simulated nanoseconds per executor round trip.");
+  tm.rtt = metrics->GetHistogram("healer_vm_rtt_ns");
+  for (size_t i = 0; i < kNumFaultKinds; ++i) {
+    const std::string name =
+        StrFormat("healer_fault_injected_%s_total",
+                  FaultKindName(static_cast<FaultKind>(i)));
+    metrics->SetHelp(name,
+                     StrFormat("Injected %s faults drawn by the fleet.",
+                               FaultKindName(static_cast<FaultKind>(i))));
+    tm.fault_injected[i] = metrics->GetCounter(name);
+  }
+  metrics->SetHelp("healer_ring_drains_total",
+                   "Ring-transport drain round trips.");
+  tm.ring_drains = metrics->GetCounter("healer_ring_drains_total");
+  metrics->SetHelp("healer_ring_submitted_total",
+                   "Programs pushed into SQ rings.");
+  tm.ring_submitted = metrics->GetCounter("healer_ring_submitted_total");
+  metrics->SetHelp("healer_ring_completions_total",
+                   "Completions posted into CQ rings.");
+  tm.ring_completions = metrics->GetCounter("healer_ring_completions_total");
+  metrics->SetHelp("healer_ring_spills_total",
+                   "Oversized programs spilled to the legacy channel.");
+  tm.ring_spills = metrics->GetCounter("healer_ring_spills_total");
+  metrics->SetHelp("healer_ring_stalls_total",
+                   "Submissions timed out waiting for a completion.");
+  tm.ring_stalls = metrics->GetCounter("healer_ring_stalls_total");
+  metrics->SetHelp("healer_ring_drain_programs",
+                   "Programs reaped per ring drain.");
+  tm.ring_drain_programs = metrics->GetHistogram("healer_ring_drain_programs");
+  metrics->SetHelp("healer_ctrl_overflow_total",
+                   "Control-socket frames dropped to a full buffer.");
+  tm.ctrl_overflow = metrics->GetCounter("healer_ctrl_overflow_total");
+  return tm;
+}
+
 GuestVm::GuestVm(const Target& target, const KernelConfig& config,
                  SimClock* clock, VmLatencyModel latency,
                  const FaultPlan& fault_plan, uint64_t fault_seed,
                  MetricRegistry* metrics, RingConfig ring_config)
-    : target_(&target),
-      config_(config),
+    : GuestVm(nullptr, clock, latency, fault_plan, fault_seed,
+              VmTelemetry::Resolve(metrics), ring_config) {
+  own_agent_ = std::make_unique<GuestAgent>(target, config);
+  agent_ = own_agent_.get();
+}
+
+GuestVm::GuestVm(GuestAgent* agent, SimClock* clock, VmLatencyModel latency,
+                 const FaultPlan& fault_plan, uint64_t fault_seed,
+                 const VmTelemetry& telemetry, RingConfig ring_config)
+    : agent_(agent),
       ring_config_(ring_config),
       clock_(clock),
       latency_(latency),
-      injector_(fault_plan, fault_seed) {
-  if (metrics != nullptr) {
-    metrics->SetHelp("healer_vm_execs_total",
-                     "Programs executed by the VM fleet.");
-    m_execs_ = metrics->GetCounter("healer_vm_execs_total");
-    metrics->SetHelp("healer_vm_reboots_total",
-                     "Guest reboots after crashes and boot failures.");
-    m_reboots_ = metrics->GetCounter("healer_vm_reboots_total");
-    metrics->SetHelp("healer_vm_rtt_ns",
-                     "Simulated nanoseconds per executor round trip.");
-    m_rtt_ = metrics->GetHistogram("healer_vm_rtt_ns");
-    for (size_t i = 0; i < kNumFaultKinds; ++i) {
-      const std::string name =
-          StrFormat("healer_fault_injected_%s_total",
-                    FaultKindName(static_cast<FaultKind>(i)));
-      metrics->SetHelp(name,
-                       StrFormat("Injected %s faults drawn by the fleet.",
-                                 FaultKindName(static_cast<FaultKind>(i))));
-      m_fault_injected_[i] = metrics->GetCounter(name);
-    }
-    metrics->SetHelp("healer_ring_drains_total",
-                     "Ring-transport drain round trips.");
-    m_ring_drains_ = metrics->GetCounter("healer_ring_drains_total");
-    metrics->SetHelp("healer_ring_submitted_total",
-                     "Programs pushed into SQ rings.");
-    m_ring_submitted_ = metrics->GetCounter("healer_ring_submitted_total");
-    metrics->SetHelp("healer_ring_completions_total",
-                     "Completions posted into CQ rings.");
-    m_ring_completions_ =
-        metrics->GetCounter("healer_ring_completions_total");
-    metrics->SetHelp("healer_ring_spills_total",
-                     "Oversized programs spilled to the legacy channel.");
-    m_ring_spills_ = metrics->GetCounter("healer_ring_spills_total");
-    metrics->SetHelp("healer_ring_stalls_total",
-                     "Submissions timed out waiting for a completion.");
-    m_ring_stalls_ = metrics->GetCounter("healer_ring_stalls_total");
-    metrics->SetHelp("healer_ring_drain_programs",
-                     "Programs reaped per ring drain.");
-    m_ring_drain_programs_ =
-        metrics->GetHistogram("healer_ring_drain_programs");
-    metrics->SetHelp("healer_ctrl_overflow_total",
-                     "Control-socket frames dropped to a full buffer.");
-    ctrl_.set_overflow_counter(
-        metrics->GetCounter("healer_ctrl_overflow_total"));
-  }
-}
-
-Executor& GuestVm::EnsureExecutor() const {
-  if (executor_ == nullptr) {
-    executor_ = std::make_unique<Executor>(*target_, config_);
-  }
-  return *executor_;
-}
-
-ShmChannel& GuestVm::EnsureShm() const {
-  if (shm_ == nullptr) {
-    shm_ = std::make_unique<ShmChannel>();
-  }
-  return *shm_;
+      injector_(fault_plan, fault_seed),
+      tm_(telemetry) {
+  ctrl_.set_overflow_counter(tm_.ctrl_overflow);
 }
 
 ExecRing& GuestVm::EnsureRing() const {
@@ -115,7 +114,7 @@ void GuestVm::Boot() {
   }
   set_state(VmState::kReady);
   AppendLog(StrFormat("[    0.000000] sim-linux %s booted",
-                      KernelVersionName(config_.version)));
+                      KernelVersionName(agent_->config().version)));
   JournalLifecycle("boot");
 }
 
@@ -130,8 +129,8 @@ bool GuestVm::StartBootAsync(EventLoop* loop,
   // one-draw-per-execution budget. Only a boot-failure outcome applies to a
   // cold start; other kinds leave the boot on track.
   const std::optional<FaultKind> fault = injector_.Draw();
-  if (fault.has_value() && m_fault_injected_[0] != nullptr) {
-    m_fault_injected_[static_cast<size_t>(*fault)]->Add();
+  if (fault.has_value() && tm_.fault_injected[0] != nullptr) {
+    tm_.fault_injected[static_cast<size_t>(*fault)]->Add();
   }
   const bool failed = fault == FaultKind::kBootFailure;
   loop->ScheduleAfter(
@@ -159,7 +158,7 @@ void GuestVm::FinishBootTimer(EventLoop* loop, bool boot_failed,
     }
     set_state(VmState::kReady);
     AppendLog(StrFormat("[    0.000000] sim-linux %s booted",
-                        KernelVersionName(config_.version)));
+                        KernelVersionName(agent_->config().version)));
     JournalLifecycleAt(loop->now(), "boot");
   }
   if (done) {
@@ -190,8 +189,8 @@ void GuestVm::FinishRebootTimer(EventLoop* loop,
   AppendLog("[ reboot ] restarting crashed guest");
   JournalLifecycleAt(loop->now(), "reboot");
   set_state(VmState::kReady);
-  if (m_reboots_ != nullptr) {
-    m_reboots_->Add();
+  if (tm_.reboots != nullptr) {
+    tm_.reboots->Add();
   }
   if (done) {
     done(*this);
@@ -223,8 +222,8 @@ ExecResult GuestVm::FailWith(ExecFailure failure) {
 ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
   const SimClock::Nanos start = clock_->now();
   const std::optional<FaultKind> fault = injector_.Draw();
-  if (fault.has_value() && m_fault_injected_[0] != nullptr) {
-    m_fault_injected_[static_cast<size_t>(*fault)]->Add();
+  if (fault.has_value() && tm_.fault_injected[0] != nullptr) {
+    tm_.fault_injected[static_cast<size_t>(*fault)]->Add();
   }
 
   if (fault == FaultKind::kBootFailure) {
@@ -248,8 +247,8 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
     AppendLog("[ reboot ] restarting crashed guest");
     JournalLifecycle("reboot");
     set_state(VmState::kReady);
-    if (m_reboots_ != nullptr) {
-      m_reboots_->Add();
+    if (tm_.reboots != nullptr) {
+      tm_.reboots->Add();
     }
   }
 
@@ -300,16 +299,16 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
             static_cast<uint8_t>(1u << (injector_.Rand() % 8));
       }
     }
-    ShmChannel& shm = EnsureShm();
+    ShmChannel& shm = agent_->shm();
     if (shm.WriteProg(bytes)) {
-      EnsureExecutor().RunSerialized(shm.prog_data(), shm.prog_size(),
+      agent_->executor().RunSerialized(shm.prog_data(), shm.prog_size(),
                                      nullptr);
     }
     clock_->Advance(latency_.exec_overhead);
     return FailWith(ExecFailure::kCorruptedReply);
   }
 
-  ShmChannel& shm = EnsureShm();
+  ShmChannel& shm = agent_->shm();
   if (!shm.WriteProg(bytes)) {
     LOG_WARNING << "program too large for shm region (" << bytes.size()
                 << " bytes)";
@@ -317,7 +316,7 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
   }
   ctrl_.Send(CtrlFrame{CtrlKind::kExecRequest, bytes.size()});
   set_state(VmState::kExecuting);
-  ExecResult result = EnsureExecutor().RunSerialized(shm.prog_data(),
+  ExecResult result = agent_->executor().RunSerialized(shm.prog_data(),
                                                      shm.prog_size(),
                                                      global_coverage);
   CtrlFrame frame;
@@ -333,9 +332,9 @@ ExecResult GuestVm::Exec(const Prog& prog, Bitmap* global_coverage) {
     clock_->Advance(latency_.slow_penalty);
     AppendLog("[ fault  ] slow round trip (host contention)");
   }
-  if (m_execs_ != nullptr) {
-    m_execs_->Add();
-    m_rtt_->Observe(clock_->now() - start);
+  if (tm_.execs != nullptr) {
+    tm_.execs->Add();
+    tm_.rtt->Observe(clock_->now() - start);
   }
   if (result.Crashed()) {
     crashes_.fetch_add(1, std::memory_order_relaxed);
@@ -372,8 +371,8 @@ std::vector<RingCompletion> GuestVm::ExecBatch(
       if (!ring.sq().Push(bytes.data(), bytes.size(), next)) {
         break;  // SQ full: drain what is queued, then keep submitting.
       }
-      if (m_ring_submitted_ != nullptr) {
-        m_ring_submitted_->Add();
+      if (tm_.ring_submitted != nullptr) {
+        tm_.ring_submitted->Add();
       }
       ++submitted;
       ++next;
@@ -388,8 +387,8 @@ std::vector<RingCompletion> GuestVm::ExecBatch(
       // which keeps the per-program decision stream aligned with a pure
       // legacy sequence.
       ExecResult result = Exec(*progs[next], global_coverage);
-      if (m_ring_spills_ != nullptr) {
-        m_ring_spills_->Add();
+      if (tm_.ring_spills != nullptr) {
+        tm_.ring_spills->Add();
       }
       out.push_back(
           RingCompletion{next, std::move(result), clock_->now()});
@@ -415,17 +414,17 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
     AppendLog("[ reboot ] restarting crashed guest");
     JournalLifecycle("reboot");
     set_state(VmState::kReady);
-    if (m_reboots_ != nullptr) {
-      m_reboots_->Add();
+    if (tm_.reboots != nullptr) {
+      tm_.reboots->Add();
     }
   }
   // One ring "enter": the host pays the round-trip overhead once per drain,
   // not once per program — the batched transport's throughput win.
   const SimClock::Nanos drain_start = clock_->now();
   clock_->Advance(latency_.exec_overhead);
-  if (m_ring_drains_ != nullptr) {
-    m_ring_drains_->Add();
-    m_ring_drain_programs_->Observe(count);
+  if (tm_.ring_drains != nullptr) {
+    tm_.ring_drains->Add();
+    tm_.ring_drain_programs->Observe(count);
   }
 
   // Executor side: multi-shot drain. Every pending submission is popped,
@@ -447,8 +446,8 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
       continue;
     }
     const std::optional<FaultKind> fault = injector_.Draw();
-    if (fault.has_value() && m_fault_injected_[0] != nullptr) {
-      m_fault_injected_[static_cast<size_t>(*fault)]->Add();
+    if (fault.has_value() && tm_.fault_injected[0] != nullptr) {
+      tm_.fault_injected[static_cast<size_t>(*fault)]->Add();
     }
     ExecResult result;
     bool post = true;
@@ -469,8 +468,8 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
         AppendLog("[ reboot ] restarting crashed guest");
         JournalLifecycle("reboot");
         set_state(VmState::kReady);
-        if (m_reboots_ != nullptr) {
-          m_reboots_->Add();
+        if (tm_.reboots != nullptr) {
+          tm_.reboots->Add();
         }
       }
       if (fault == FaultKind::kVmCrash) {
@@ -502,7 +501,7 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
                 static_cast<uint8_t>(1u << (injector_.Rand() % 8));
           }
         }
-        EnsureExecutor().RunSerialized(corrupted.data(), corrupted.size(),
+        agent_->executor().RunSerialized(corrupted.data(), corrupted.size(),
                                        nullptr);
         result = FailWith(ExecFailure::kCorruptedReply);
       } else {
@@ -510,7 +509,7 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
             tag < progs.size() ? progs[static_cast<size_t>(tag)]->size() : 0;
         set_state(VmState::kExecuting);
         result =
-            EnsureExecutor().RunSerialized(bytes.data(), bytes.size(),
+            agent_->executor().RunSerialized(bytes.data(), bytes.size(),
                                            global_coverage);
         execs_.fetch_add(1, std::memory_order_relaxed);
         consecutive_failures_.store(0, std::memory_order_relaxed);
@@ -519,9 +518,9 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
           clock_->Advance(latency_.slow_penalty);
           AppendLog("[ fault  ] slow round trip (host contention)");
         }
-        if (m_execs_ != nullptr) {
-          m_execs_->Add();
-          m_rtt_->Observe(clock_->now() - drain_start);
+        if (tm_.execs != nullptr) {
+          tm_.execs->Add();
+          tm_.rtt->Observe(clock_->now() - drain_start);
         }
         if (result.Crashed()) {
           crashes_.fetch_add(1, std::memory_order_relaxed);
@@ -539,8 +538,8 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
       // happen on the production path.
       if (ring.cq().Push(cqe.data(), cqe.size(), tag)) {
         stamps.emplace_back(tag, clock_->now());
-        if (m_ring_completions_ != nullptr) {
-          m_ring_completions_->Add();
+        if (tm_.ring_completions != nullptr) {
+          tm_.ring_completions->Add();
         }
       }
     }
@@ -588,8 +587,8 @@ void GuestVm::DrainRing(const std::vector<const Prog*>& progs,
       out->push_back(
           RingCompletion{want, FailWith(ExecFailure::kRingStall),
                          clock_->now()});
-      if (m_ring_stalls_ != nullptr) {
-        m_ring_stalls_->Add();
+      if (tm_.ring_stalls != nullptr) {
+        tm_.ring_stalls->Add();
       }
       if (journal_ != nullptr) {
         // Payload: a = lost tag, b = SQ depth, c = CQ depth at timeout.
@@ -611,8 +610,8 @@ ExecResult GuestVm::ExecRingOne(const Prog& prog, Bitmap* global_coverage) {
 
 void GuestVm::QuarantineReboot() {
   quarantines_.fetch_add(1, std::memory_order_relaxed);
-  if (m_reboots_ != nullptr) {
-    m_reboots_->Add();
+  if (tm_.reboots != nullptr) {
+    tm_.reboots->Add();
   }
   consecutive_failures_.store(0, std::memory_order_relaxed);
   set_state(VmState::kRebooting);

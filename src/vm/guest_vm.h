@@ -32,10 +32,15 @@
 // (consecutive failures, infra faults, quarantines) feed the recovery
 // policy and the Monitor's per-VM health report.
 //
-// Transports (executor, shm channel, rings — ~5 MiB together) allocate
-// lazily on first execution: a fleet of thousands of cold or boot-looping
-// guests costs kilobytes each, which is what makes 2048-VM storm scenarios
-// runnable (the boot handshake itself only touches the control socket).
+// Transports allocate lazily on first execution. The in-guest agent
+// (GuestAgent: the executor and its shm data plane, ~3.3 MiB once built) is
+// reached through one pointer: a standalone GuestVm owns its agent, while a
+// fleet pool shares one agent among all guests of a lane, so a fleet's
+// transport memory follows its lane count, not its guest count. The
+// per-guest part is the control socket and, once the ring transport is
+// used, the guest's own SQ/CQ rings; a cold or boot-looping guest carries
+// no transport at all, which is what keeps 2048-VM storm scenarios cheap
+// (the boot handshake itself only touches the control socket).
 
 #ifndef SRC_VM_GUEST_VM_H_
 #define SRC_VM_GUEST_VM_H_
@@ -95,6 +100,62 @@ enum class VmState : uint8_t {
 
 const char* VmStateName(VmState state);
 
+// Telemetry handles of the VM layer. Resolve() registers the help texts and
+// looks every handle up once; a pool resolves one set and hands it to each
+// guest, so building a large fleet costs no per-guest registry traffic.
+// Every handle is null when no registry was supplied.
+struct VmTelemetry {
+  static VmTelemetry Resolve(MetricRegistry* metrics);
+
+  Counter* execs = nullptr;                // healer_vm_execs_total
+  Counter* reboots = nullptr;              // healer_vm_reboots_total
+  Histogram* rtt = nullptr;                // healer_vm_rtt_ns
+  Counter* ring_drains = nullptr;          // healer_ring_drains_total
+  Counter* ring_submitted = nullptr;       // healer_ring_submitted_total
+  Counter* ring_completions = nullptr;     // healer_ring_completions_total
+  Counter* ring_spills = nullptr;          // healer_ring_spills_total
+  Counter* ring_stalls = nullptr;          // healer_ring_stalls_total
+  Histogram* ring_drain_programs = nullptr;  // healer_ring_drain_programs
+  Counter* ctrl_overflow = nullptr;        // healer_ctrl_overflow_total
+  // healer_fault_injected_<kind>_total, indexed by FaultKind.
+  std::array<Counter*, kNumFaultKinds> fault_injected{};
+};
+
+// The in-guest agent: the executor plus the shared-memory region programs
+// travel through. Both are built on the first execution, not at
+// construction, so a cold fleet allocates nothing here.
+//
+// Sharing one agent among several guests is safe as long as one thread
+// drives it at a time: the executor keeps no state between programs
+// (Executor::Run boots a fresh Kernel, resets GuestMem and resets the
+// per-call coverage map), and the shm region holds one in-flight program.
+class GuestAgent {
+ public:
+  // `target` must outlive the agent.
+  GuestAgent(const Target& target, const KernelConfig& config)
+      : target_(&target), config_(config) {}
+
+  Executor& executor() {
+    if (executor_ == nullptr) {
+      executor_ = std::make_unique<Executor>(*target_, config_);
+    }
+    return *executor_;
+  }
+  ShmChannel& shm() {
+    if (shm_ == nullptr) {
+      shm_ = std::make_unique<ShmChannel>();
+    }
+    return *shm_;
+  }
+  const KernelConfig& config() const { return config_; }
+
+ private:
+  const Target* target_;
+  KernelConfig config_;
+  std::unique_ptr<Executor> executor_;
+  std::unique_ptr<ShmChannel> shm_;
+};
+
 class GuestVm {
  public:
   // `clock` is shared with the campaign and must outlive the VM. A
@@ -107,6 +168,13 @@ class GuestVm {
           const FaultPlan& fault_plan = FaultPlan(), uint64_t fault_seed = 0,
           MetricRegistry* metrics = nullptr,
           RingConfig ring_config = RingConfig());
+
+  // Pool form: executes through `agent` (which may be shared with other
+  // guests and must outlive this one) and records into already-resolved
+  // `telemetry` handles.
+  GuestVm(GuestAgent* agent, SimClock* clock, VmLatencyModel latency,
+          const FaultPlan& fault_plan, uint64_t fault_seed,
+          const VmTelemetry& telemetry, RingConfig ring_config = RingConfig());
 
   // Boots the guest and performs the executor handshake (blocking: charges
   // the campaign clock inline).
@@ -173,7 +241,9 @@ class GuestVm {
   // the Monitor's reactor timers).
   std::vector<std::string> DrainLog();
 
-  const Executor& executor() const { return EnsureExecutor(); }
+  // The agent's executor (built on first use). Fleet guests of one lane
+  // return the same object.
+  const Executor& executor() const { return agent_->executor(); }
   const FaultInjector& injector() const { return injector_; }
   // Ring transport internals, exposed for the property/hostile test
   // harnesses; production callers go through ExecBatch/ExecRingOne.
@@ -221,19 +291,15 @@ class GuestVm {
   void FinishBootTimer(EventLoop* loop, bool boot_failed,
                        std::function<void(GuestVm&)> done);
   void FinishRebootTimer(EventLoop* loop, std::function<void(GuestVm&)> done);
-  // Lazy transport construction (first execution; idempotent).
-  Executor& EnsureExecutor() const;
-  ShmChannel& EnsureShm() const;
+  // Lazy ring construction (first ring execution; idempotent).
   ExecRing& EnsureRing() const;
   void set_state(VmState s) { state_.store(s, std::memory_order_release); }
 
-  const Target* target_;
-  KernelConfig config_;
+  // Set only by the standalone constructor; pool guests borrow the pool's.
+  std::unique_ptr<GuestAgent> own_agent_;
+  GuestAgent* agent_;
   RingConfig ring_config_;
-  // Allocated on first use; mutable so const probes (executor()) can
-  // materialize them. A cold VM carries none of the three.
-  mutable std::unique_ptr<Executor> executor_;
-  mutable std::unique_ptr<ShmChannel> shm_;
+  // Allocated on first ring use; mutable so ring() can materialize it.
   mutable std::unique_ptr<ExecRing> ring_;
   ControlSocket ctrl_;
   SimClock* clock_;
@@ -252,16 +318,7 @@ class GuestVm {
   JournalWriter* journal_ = nullptr;  // Owned and flushed by the driver.
   // Telemetry handles (null when no registry was supplied). All VMs of a
   // pool share the same counters; shards keep parallel workers uncontended.
-  Counter* m_execs_ = nullptr;                               // healer_vm_execs_total
-  Counter* m_reboots_ = nullptr;                             // healer_vm_reboots_total
-  Histogram* m_rtt_ = nullptr;                               // healer_vm_rtt_ns
-  std::array<Counter*, kNumFaultKinds> m_fault_injected_{};  // healer_fault_injected_<kind>_total
-  Counter* m_ring_drains_ = nullptr;       // healer_ring_drains_total
-  Counter* m_ring_submitted_ = nullptr;    // healer_ring_submitted_total
-  Counter* m_ring_completions_ = nullptr;  // healer_ring_completions_total
-  Counter* m_ring_spills_ = nullptr;       // healer_ring_spills_total
-  Counter* m_ring_stalls_ = nullptr;       // healer_ring_stalls_total
-  Histogram* m_ring_drain_programs_ = nullptr;  // healer_ring_drain_programs
+  VmTelemetry tm_;
 };
 
 }  // namespace healer

@@ -10,7 +10,22 @@ VmPool::VmPool(const Target& target, const KernelConfig& config,
                SimClock* clock, size_t count, VmLatencyModel latency,
                const FaultPlan& fault_plan, uint64_t fault_seed,
                MetricRegistry* metrics, FleetOptions fleet)
-    : clock_(clock) {
+    : clock_(clock), latency_(latency) {
+  num_lanes_ = fleet.lanes == 0 ? count : std::min(fleet.lanes, count);
+  num_lanes_ = std::max<size_t>(num_lanes_, 1);
+  // One VM per lane is exactly the historical pinned pool; the fleet
+  // machinery (freelists, async boots) must stay out of that path so the
+  // legacy configuration remains draw- and charge-identical.
+  legacy_ = num_lanes_ == count;
+
+  // One in-guest agent per lane: pinned VMs keep their own, fleet guests
+  // share their lane's. Only lane l's worker drives lane l's guests, so an
+  // agent never runs two programs at once.
+  agents_.reserve(num_lanes_);
+  for (size_t l = 0; l < num_lanes_; ++l) {
+    agents_.push_back(std::make_unique<GuestAgent>(target, config));
+  }
+  const VmTelemetry telemetry = VmTelemetry::Resolve(metrics);
   vms_.reserve(count);
   for (size_t i = 0; i < count; ++i) {
     // Each VM gets an independent, reproducible fault stream. Seeds are
@@ -18,16 +33,11 @@ VmPool::VmPool(const Target& target, const KernelConfig& config,
     // never reshuffles per-VM decision streams.
     const uint64_t vm_seed =
         Mix64(fault_seed ^ (0x9e3779b97f4a7c15ULL * (i + 1)));
-    vms_.push_back(std::make_unique<GuestVm>(target, config, clock, latency,
-                                             fault_plan, vm_seed, metrics));
+    vms_.push_back(std::make_unique<GuestVm>(agents_[lane_of(i)].get(), clock,
+                                             latency, fault_plan, vm_seed,
+                                             telemetry));
   }
 
-  num_lanes_ = fleet.lanes == 0 ? count : std::min(fleet.lanes, count);
-  num_lanes_ = std::max<size_t>(num_lanes_, 1);
-  // One VM per lane is exactly the historical pinned pool; the fleet
-  // machinery (freelists, async boots) must stay out of that path so the
-  // legacy configuration remains draw- and charge-identical.
-  legacy_ = num_lanes_ == count;
   const size_t shard_count =
       std::max<size_t>(1, std::min(fleet.shards, num_lanes_));
 
@@ -118,50 +128,54 @@ GuestVm* VmPool::AcquireReady(size_t lane) {
     return vms_[lane].get();  // Pinned: one VM per lane.
   }
   Lane& home = *lanes_[lane];
-  const size_t s = shard_of_lane(lane);
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    {
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (!home.ready.empty()) {
-        GuestVm* vm = home.ready.front();
-        home.ready.pop_front();
-        return vm;
-      }
+  auto pop = [&home]() -> GuestVm* {
+    std::lock_guard<std::mutex> lock(home.mu);
+    if (home.ready.empty()) {
+      return nullptr;
     }
-    // Dry freelist: run whatever is already due at the shared clock.
-    PumpShard(s);
-    {
-      std::lock_guard<std::mutex> lock(home.mu);
-      if (!home.ready.empty()) {
-        GuestVm* vm = home.ready.front();
-        home.ready.pop_front();
-        return vm;
-      }
+    GuestVm* vm = home.ready.front();
+    home.ready.pop_front();
+    return vm;
+  };
+  const size_t s = shard_of_lane(lane);
+  // Every lifecycle transition settles within one boot plus one reboot of
+  // virtual time (a failed boot is parked and rebooted; reboots always
+  // succeed), so a lane-mate in transition now is ready by `give_up`.
+  // Deadlines past it belong to other lanes or the Monitor.
+  const SimClock::Nanos give_up =
+      clock_->now() + latency_.boot + latency_.reboot;
+  for (;;) {
+    if (GuestVm* vm = pop()) {
+      return vm;
+    }
+    // Dry freelist: run whatever is already due at the shared clock. This
+    // waits out a pump another worker has in flight instead of skipping
+    // it: that pump may be about to settle one of this lane's guests.
+    PumpShardAndWait(s);
+    if (GuestVm* vm = pop()) {
+      return vm;
     }
     // Still dry — every lane-mate is mid-boot or mid-reboot. Advance the
     // shared clock to the shard's next armed deadline (the fleet waits for
     // the *earliest* timer, which is what makes overlapped latencies cost
-    // their max) and pump again.
+    // their max) and pump again. Keep waiting until a lane-mate settles:
+    // the last resort below hands out a guest whose lifecycle timer may
+    // still be armed, which another worker's pump would then fire while
+    // this worker drives the guest.
     const SimClock::Nanos next = loops_[s]->NextDeadline();
-    if (next == EventLoop::kNoDeadline) {
-      break;  // Nothing armed: the shard cannot produce a ready VM.
+    if (next == EventLoop::kNoDeadline || next > give_up) {
+      break;  // The shard cannot produce a ready lane-mate.
     }
     const SimClock::Nanos now = clock_->now();
     if (next > now) {
       clock_->Advance(next - now);
     }
-    PumpShard(s);
+    PumpShardAndWait(s);
   }
-  {
-    std::lock_guard<std::mutex> lock(home.mu);
-    if (!home.ready.empty()) {
-      GuestVm* vm = home.ready.front();
-      home.ready.pop_front();
-      return vm;
-    }
+  if (GuestVm* vm = pop()) {
+    return vm;
   }
-  // Last resort (e.g. another worker's pump consumed the deadline we were
-  // waiting on, or the lane's guests are all checked out): hand back the
+  // Last resort (the lane's guests are all checked out): hand back the
   // lane's first VM. Exec's inline boot/reboot keeps it usable.
   return vms_[lane].get();
 }
@@ -174,14 +188,22 @@ void VmPool::Release(size_t lane, GuestVm* vm) {
 }
 
 void VmPool::PumpShard(size_t s) {
-  Shard& shard = *shards_[s];
-  EventLoop& loop = *shard.loop;
-  const SimClock::Nanos horizon = std::max(loop.now(), clock_->now());
-  std::unique_lock<std::mutex> pump(shard.pump_mu, std::try_to_lock);
+  std::unique_lock<std::mutex> pump(shards_[s]->pump_mu, std::try_to_lock);
   if (!pump.owns_lock()) {
     return;  // Another worker is pumping this shard; it will make progress.
   }
-  loop.RunUntil(horizon);
+  RunShard(s);
+}
+
+void VmPool::PumpShardAndWait(size_t s) {
+  std::lock_guard<std::mutex> pump(shards_[s]->pump_mu);
+  RunShard(s);
+}
+
+void VmPool::RunShard(size_t s) {
+  Shard& shard = *shards_[s];
+  EventLoop& loop = *shard.loop;
+  loop.RunUntil(std::max(loop.now(), clock_->now()));
   if (shard.journal != nullptr) {
     shard.journal->Flush();
   }

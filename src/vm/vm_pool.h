@@ -16,8 +16,18 @@
 //     shard and rebooted by a reactor timer, so a 512-guest crash storm
 //     costs one reboot latency of virtual time and zero extra OS threads.
 //
+// Each lane has one in-guest agent (GuestAgent: executor plus shm data
+// plane, built on the lane's first execution). In the pinned topology that
+// is one agent per VM, as before; in the fleet topology every guest of lane
+// l executes through lane l's agent, so transport memory and first-touch
+// cost scale with the lane count, not the guest count. Sharing is safe
+// because AcquireReady(l) only ever hands out lane-l guests (its last
+// resort included) and only one worker drives a lane. Guest-local state
+// (lifecycle, fault stream, control socket, ring) stays per VM.
+//
 // Workers pump shards cooperatively (PumpShard try-locks, so concurrent
-// pumpers never block each other); no shard owns a thread. The shared
+// pumpers never block each other; only a worker whose lane freelist ran
+// dry waits for an in-flight pump); no shard owns a thread. The shared
 // campaign SimClock only moves forward: a starved AcquireReady advances it
 // to the shard's next armed deadline, bridging worker time and reactor time.
 //
@@ -97,12 +107,13 @@ class VmPool {
 
   // Pops a ready VM from `lane`'s freelist. In legacy mode this returns the
   // lane's pinned VM unconditionally (no state inspection, no pumping — the
-  // historical path). In fleet mode a dry freelist pumps the owning shard,
-  // and if the shard is merely waiting on virtual time (every VM mid-boot
-  // or mid-reboot), advances the shared clock to its next armed deadline —
-  // the bridge that makes overlapping lifecycle latencies cost their max,
-  // not their sum. Falls back to the lane's first VM if the shard has
-  // nothing armed, so callers always get a guest.
+  // historical path). In fleet mode a dry freelist pumps the owning shard
+  // (waiting for a pump another worker has in flight to finish first),
+  // and while the lane's guests are mid-boot or mid-reboot, advances the
+  // shared clock deadline by deadline until one of them settles — the
+  // bridge that makes overlapping lifecycle latencies cost their max, not
+  // their sum. Falls back to the lane's first VM only if nothing armed on
+  // the shard can settle a lane-mate, so callers always get a guest.
   GuestVm* AcquireReady(size_t lane);
 
   // Returns a VM acquired from `lane`. Healthy guests rejoin the lane's
@@ -150,12 +161,20 @@ class VmPool {
   };
 
   size_t lane_of(size_t vm_index) const { return vm_index % num_lanes_; }
+  // PumpShard that blocks on a concurrent pump instead of skipping it.
+  void PumpShardAndWait(size_t s);
+  // Runs shard `s` up to the shared clock; the caller holds its pump_mu.
+  void RunShard(size_t s);
   // Routes a VM whose lifecycle transition just settled: healthy guests go
   // to their lane's freelist, down guests to their shard's parked list
   // (ringing the reboot doorbell).
   void OnLifecycleSettled(size_t lane, GuestVm* vm);
 
   SimClock* clock_;
+  VmLatencyModel latency_;
+  // One per lane (so one per VM in the pinned topology); VM i executes
+  // through agents_[lane_of(i)].
+  std::vector<std::unique_ptr<GuestAgent>> agents_;
   std::vector<std::unique_ptr<GuestVm>> vms_;
   size_t next_ = 0;
   bool legacy_ = true;

@@ -1,6 +1,7 @@
 // Executor and VM-layer tests: per-call coverage, resource resolution,
-// out-parameter extraction, wire transport, clock/latency modelling, crash
-// reboot, monitor log collection.
+// out-parameter extraction, wire transport, history independence of a
+// reused executor, clock/latency modelling, crash reboot, per-lane agent
+// sharing, monitor log collection.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,9 @@
 #include "src/kernel/errno.h"
 #include "src/exec/executor.h"
 #include "src/exec/shm_channel.h"
+#include "src/fuzz/prog_builder.h"
 #include "src/fuzz/templates.h"
+#include "src/prog/serialize.h"
 #include "src/syzlang/builtin_descs.h"
 #include "src/vm/vm_pool.h"
 
@@ -27,6 +30,33 @@ Prog Chain(const std::vector<std::string>& names, uint64_t seed = 1) {
   const Target& target = BuiltinTarget();
   Rng rng(seed);
   return BuildChain(target, AllIds(target), names, &rng);
+}
+
+// epoll_create1; epoll_ctl$ADD of the epoll fd to itself (a deadlock bug
+// at call 1); sync, which never runs. Built by hand for precision.
+Prog EpollSelfAddProg() {
+  Prog prog = Chain({"epoll_create1"});
+  const Target& target = BuiltinTarget();
+  Call ctl;
+  ctl.meta = target.FindSyscall("epoll_ctl$ADD");
+  ctl.args.push_back(MakeResourceRef(ctl.meta->args[0].type, 0, 0));
+  ctl.args.push_back(MakeConstant(ctl.meta->args[1].type, 1));
+  ctl.args.push_back(MakeResourceRef(ctl.meta->args[2].type, 0, 0));
+  ctl.args.push_back(MakePointer(
+      ctl.meta->args[3].type,
+      MakeGroup(ctl.meta->args[3].type->elem,
+                [&] {
+                  std::vector<ArgPtr> fields;
+                  fields.push_back(MakeConstant(
+                      ctl.meta->args[3].type->elem->fields[0].type, 1));
+                  return fields;
+                }())));
+  prog.calls().push_back(std::move(ctl));
+  Call after;
+  after.meta = target.FindSyscall("sync");
+  prog.calls().push_back(std::move(after));
+
+  return prog;
 }
 
 class ExecutorTest : public ::testing::Test {
@@ -123,28 +153,7 @@ TEST_F(ExecutorTest, NullPointerArgsFault) {
 }
 
 TEST_F(ExecutorTest, CrashStopsExecution) {
-  Prog prog = Chain({"epoll_create1"});
-  // epoll self-add: build manually for precision.
-  const Target& target = BuiltinTarget();
-  Call ctl;
-  ctl.meta = target.FindSyscall("epoll_ctl$ADD");
-  ctl.args.push_back(MakeResourceRef(ctl.meta->args[0].type, 0, 0));
-  ctl.args.push_back(MakeConstant(ctl.meta->args[1].type, 1));
-  ctl.args.push_back(MakeResourceRef(ctl.meta->args[2].type, 0, 0));
-  ctl.args.push_back(MakePointer(
-      ctl.meta->args[3].type,
-      MakeGroup(ctl.meta->args[3].type->elem,
-                [&] {
-                  std::vector<ArgPtr> fields;
-                  fields.push_back(MakeConstant(
-                      ctl.meta->args[3].type->elem->fields[0].type, 1));
-                  return fields;
-                }())));
-  prog.calls().push_back(std::move(ctl));
-  Call after;
-  after.meta = target.FindSyscall("sync");
-  prog.calls().push_back(std::move(after));
-
+  const Prog prog = EpollSelfAddProg();
   const ExecResult result = executor_.Run(prog, nullptr);
   ASSERT_TRUE(result.Crashed());
   EXPECT_EQ(result.crash->bug, BugId::kEpollSelfAddDeadlock);
@@ -190,6 +199,112 @@ TEST_F(ExecutorTest, BadWireBytesYieldEmptyResult) {
   const ExecResult result =
       executor_.RunSerialized(junk, sizeof(junk), nullptr);
   EXPECT_TRUE(result.calls.empty());
+}
+
+// ---- history independence ----
+//
+// Fleet lanes share one executor among many guests, which is only sound if
+// an executor's answer for a program never depends on what it ran before.
+
+// Inflates the first data argument found under `arg` to `len` bytes of
+// noise; returns false when the subtree holds no data argument.
+bool InflateData(Arg* arg, size_t len, Rng* rng) {
+  if (arg == nullptr) {
+    return false;
+  }
+  if (arg->kind == ArgKind::kData) {
+    arg->data.resize(len);
+    for (uint8_t& byte : arg->data) {
+      byte = static_cast<uint8_t>(rng->Next());
+    }
+    return true;
+  }
+  if (InflateData(arg->pointee.get(), len, rng)) {
+    return true;
+  }
+  for (auto& child : arg->inner) {
+    if (InflateData(child.get(), len, rng)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ExecutorHistoryTest, ReusedExecutorMatchesFreshExecutorPerProgram) {
+  const Target& target = BuiltinTarget();
+  const KernelConfig config = KernelConfig::ForVersion(KernelVersion::kV5_11);
+  Rng rng(0x4ea1e5);
+  ProgBuilder builder(target, AllIds(target), &rng);
+  Executor reused(target, config);
+  const Prog crasher = EpollSelfAddProg();
+  size_t crashed = 0;
+  size_t filled = 0;
+  size_t damaged = 0;
+  for (int i = 0; i < 300; ++i) {
+    Prog prog = i % 25 == 7 ? crasher.Clone()
+                            : builder.Generate(
+                                  [&](const std::vector<int>&) {
+                                    return static_cast<int>(
+                                        rng.Below(target.NumSyscalls()));
+                                  },
+                                  2 + rng.Below(14));
+    if (prog.empty()) {
+      continue;
+    }
+    if (rng.Below(4) == 0) {
+      // Fill much of the 2 MiB data window (the wire format carries it).
+      const size_t len = (256 << 10) + rng.Below(1 << 20);
+      for (auto& call : prog.calls()) {
+        bool inflated = false;
+        for (auto& arg : call.args) {
+          if (InflateData(arg.get(), len, &rng)) {
+            inflated = true;
+            break;
+          }
+        }
+        if (inflated) {
+          ++filled;
+          break;
+        }
+      }
+    }
+    std::vector<uint8_t> wire = SerializeProg(prog);
+    if (rng.Below(6) == 0 && !wire.empty()) {
+      // Damaged wire bytes, as the transport-corruption faults send them.
+      if (rng.Below(2) == 0) {
+        wire.resize(rng.Below(wire.size()));
+      } else {
+        wire[rng.Below(wire.size())] ^=
+            static_cast<uint8_t>(1u << rng.Below(8));
+      }
+      ++damaged;
+    }
+
+    Executor fresh(target, config);
+    Bitmap fresh_cov(CallCoverage::kMapBits);
+    Bitmap reused_cov(CallCoverage::kMapBits);
+    const ExecResult want =
+        fresh.RunSerialized(wire.data(), wire.size(), &fresh_cov);
+    const ExecResult got =
+        reused.RunSerialized(wire.data(), wire.size(), &reused_cov);
+    ASSERT_EQ(got.calls.size(), want.calls.size()) << "program " << i;
+    for (size_t c = 0; c < want.calls.size(); ++c) {
+      // executed, retval, signal, new_edges, num_edges and slot values.
+      EXPECT_EQ(got.calls[c], want.calls[c]) << "program " << i << " call "
+                                             << c;
+    }
+    ASSERT_EQ(got.Crashed(), want.Crashed()) << "program " << i;
+    if (want.Crashed()) {
+      EXPECT_EQ(got.crash->bug, want.crash->bug) << "program " << i;
+      EXPECT_EQ(got.crash->call_index, want.crash->call_index)
+          << "program " << i;
+      ++crashed;
+    }
+  }
+  // The stream must actually exercise every class it claims to.
+  EXPECT_GE(crashed, 10u);
+  EXPECT_GE(filled, 20u);
+  EXPECT_GE(damaged, 20u);
 }
 
 // ---- shm channel / control socket ----
@@ -278,6 +393,34 @@ TEST(VmPoolTest, RoundRobinAndTotals) {
   EXPECT_EQ(pool.TotalExecs(), 6u);
   EXPECT_EQ(pool.vm(0).execs(), 2u);
   EXPECT_EQ(pool.vm(2).execs(), 2u);
+}
+
+TEST(VmPoolTest, FleetGuestsShareTheirLanesAgent) {
+  SimClock clock;
+  const KernelConfig config = KernelConfig::ForVersion(KernelVersion::kV5_11);
+  FleetOptions fleet;
+  fleet.lanes = 4;
+  VmPool pool(BuiltinTarget(), config, &clock, 16, VmLatencyModel(),
+              FaultPlan(), 0, nullptr, fleet);
+  ASSERT_TRUE(pool.fleet());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    for (size_t j = 0; j < pool.size(); ++j) {
+      EXPECT_EQ(&pool.vm(i).executor() == &pool.vm(j).executor(),
+                i % 4 == j % 4)
+          << "guests " << i << " and " << j;
+    }
+  }
+
+  // The pinned topology keeps one agent per VM, as does a standalone guest.
+  VmPool pinned(BuiltinTarget(), config, &clock, 4);
+  ASSERT_FALSE(pinned.fleet());
+  GuestVm standalone(BuiltinTarget(), config, &clock);
+  for (size_t i = 0; i < pinned.size(); ++i) {
+    EXPECT_NE(&pinned.vm(i).executor(), &standalone.executor());
+    for (size_t j = i + 1; j < pinned.size(); ++j) {
+      EXPECT_NE(&pinned.vm(i).executor(), &pinned.vm(j).executor());
+    }
+  }
 }
 
 TEST(MonitorTest, CollectsBootAndCrashLogs) {

@@ -1,7 +1,12 @@
 // healer — command-line driver for the library.
 //
+// Flags are parsed strictly: an unknown flag, a missing value, or a value
+// that does not parse (numbers must be plain non-negative decimals with no
+// trailing bytes) exits 2 with a message naming the flag.
+//
 //   healer fuzz   [--tool healer|healer-|syzkaller|moonshine]
 //                 [--version 4.19|5.0|5.4|5.6|5.11] [--hours H] [--seed N]
+//                 [--max-execs N]          # also stop after N fuzz execs
 //                 [--corpus-in FILE] [--corpus-out FILE]
 //                 [--corpus-format hcorp1|legacy]  # container written by
 //                                          # --corpus-out (loading
@@ -12,6 +17,8 @@
 //                 [--curve] [--edges]
 //                 [--fault-rate P | --faults crash=0.01,timeout=0.005,...]
 //                 [--fault-retries N]
+//                 [--fleet-size N]         # N guests on reactor shards
+//                 [--fleet-shards S]       # (default fleet-size / 256)
 //                 [--status-period SECS]   # live status line (simulated s)
 //                 [--metrics-out FILE]     # Prometheus text (.json -> JSON)
 //                 [--trace-out FILE]       # Chrome trace JSON (Perfetto)
@@ -28,13 +35,17 @@
 //                                          # exchanging HGSP1 gossip
 //                 [--rounds R] [--execs-per-round E] [--fanout F]
 //                 [--net-seed S]           # adversarial delivery shuffle
+//                 [--reconcile-every K]    # identity check cadence
 //                 [--sequential]           # fuzz phase on one thread
+//                 # with --shards N > 1 only --seed/--tool/--version and
+//                 # the shard flags above are accepted
 //   healer relations [--version V] [--probe]      # static (+dynamic) table
 //   healer convert HEADER_FILE                    # C header -> HealLang
 //   healer replay CORPUS_FILE [--version V]       # run saved programs
 //   healer bugs   [--version V]                   # list live injected bugs
 //   healer shard  --shard-index I --shards N --gossip-dir DIR
 //                 [--rounds R] [--execs-per-round E] [--fanout F] [--seed S]
+//                 [--tool T] [--version V] [--poll-timeout SECS]
 //                 # one shard as an OS process; gossip batches travel as
 //                 # files in DIR (r{round}_s{from}_to{to}.gsp, written
 //                 # tmp+rename, polled by the receiver). Run N of these
@@ -47,12 +58,17 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -79,40 +95,154 @@ namespace {
 
 using namespace healer;
 
-// Minimal flag parsing: --name value pairs after the subcommand.
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> flags;
-  for (int i = start; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      flags["__positional"] = arg;
-      continue;
-    }
-    arg = arg.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[arg] = argv[++i];
-    } else {
-      flags[arg] = "1";
+// Flags of one subcommand: `--name value` pairs, bare `--name` switches and
+// at most one positional argument, checked against what the subcommand
+// declares. Parsing is strict: an undeclared flag, a value flag without a
+// value, or a value its getter cannot read (a number with a sign, trailing
+// bytes or out of range; an unknown version or tool) prints one line that
+// names the flag and clears ok(). Commands read every flag before doing any
+// work and exit 2 when !ok().
+class FlagSet {
+ public:
+  FlagSet(int argc, char** argv, int start,
+          std::initializer_list<std::string_view> values,
+          std::initializer_list<std::string_view> switches,
+          bool positional = false) {
+    for (int i = start; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        if (!positional || positional_.has_value()) {
+          Fail(std::string(arg), "unexpected argument");
+          continue;
+        }
+        positional_ = std::string(arg);
+        continue;
+      }
+      const std::string name(arg.substr(2));
+      if (std::find(switches.begin(), switches.end(), name) !=
+          switches.end()) {
+        values_[name] = "";
+        continue;
+      }
+      if (std::find(values.begin(), values.end(), name) == values.end()) {
+        Fail("--" + name, "unknown flag");
+        continue;
+      }
+      if (i + 1 >= argc) {
+        Fail("--" + name, "needs a value");
+        continue;
+      }
+      values_[name] = argv[++i];
     }
   }
-  return flags;
-}
 
-KernelVersion ParseVersion(const std::string& text) {
-  if (text == "4.19") return KernelVersion::kV4_19;
-  if (text == "5.0") return KernelVersion::kV5_0;
-  if (text == "5.4") return KernelVersion::kV5_4;
-  if (text == "5.6") return KernelVersion::kV5_6;
-  return KernelVersion::kV5_11;
-}
+  bool ok() const { return ok_; }
+  bool Has(const char* name) const { return values_.count(name) != 0; }
+  const std::optional<std::string>& positional() const { return positional_; }
+  // Names of the flags given on the command line, in name order.
+  std::vector<std::string> Given() const {
+    std::vector<std::string> names;
+    for (const auto& [name, value] : values_) {
+      names.push_back(name);
+    }
+    return names;
+  }
 
-ToolKind ParseTool(const std::string& text) {
-  if (text == "healer-") return ToolKind::kHealerMinus;
-  if (text == "syzkaller") return ToolKind::kSyzkaller;
-  if (text == "moonshine") return ToolKind::kMoonshine;
-  return ToolKind::kHealer;
-}
+  std::string Str(const char* name, const char* fallback) const {
+    auto it = values_.find(name);
+    return it == values_.end() ? std::string(fallback) : it->second;
+  }
+
+  // A plain decimal integer in [0, max].
+  uint64_t U64(const char* name, uint64_t fallback,
+               uint64_t max = UINT64_MAX) {
+    auto it = values_.find(name);
+    if (it == values_.end()) {
+      return fallback;
+    }
+    const std::string& text = it->second;
+    uint64_t value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size() || value > max) {
+      Fail(std::string("--") + name + " '" + text + "'",
+           max == UINT64_MAX
+               ? std::string("want a non-negative integer")
+               : "want an integer in [0, " + std::to_string(max) + "]");
+      return fallback;
+    }
+    return value;
+  }
+
+  // A finite decimal number in [0, max].
+  double Double(const char* name, double fallback,
+                double max = std::numeric_limits<double>::max()) {
+    auto it = values_.find(name);
+    if (it == values_.end()) {
+      return fallback;
+    }
+    const std::string& text = it->second;
+    double value = 0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), value);
+    if (text.empty() || ec != std::errc() ||
+        end != text.data() + text.size() || !std::isfinite(value) ||
+        value < 0 || value > max) {
+      Fail(std::string("--") + name + " '" + text + "'",
+           "want a non-negative number" +
+               (max < std::numeric_limits<double>::max()
+                    ? " up to " + FormatDouble(max)
+                    : std::string()));
+      return fallback;
+    }
+    return value;
+  }
+
+  KernelVersion Version() {
+    const std::string text = Str("version", "5.11");
+    if (text == "4.19") return KernelVersion::kV4_19;
+    if (text == "5.0") return KernelVersion::kV5_0;
+    if (text == "5.4") return KernelVersion::kV5_4;
+    if (text == "5.6") return KernelVersion::kV5_6;
+    if (text != "5.11") {
+      Fail("--version '" + text + "'", "want 4.19, 5.0, 5.4, 5.6 or 5.11");
+    }
+    return KernelVersion::kV5_11;
+  }
+
+  ToolKind Tool() {
+    const std::string text = Str("tool", "healer");
+    if (text == "healer-") return ToolKind::kHealerMinus;
+    if (text == "syzkaller") return ToolKind::kSyzkaller;
+    if (text == "moonshine") return ToolKind::kMoonshine;
+    if (text != "healer") {
+      Fail("--tool '" + text + "'",
+           "want healer, healer-, syzkaller or moonshine");
+    }
+    return ToolKind::kHealer;
+  }
+
+  // Reports a flag the command accepts in general but not in this mode.
+  void Reject(const std::string& name, const char* why) {
+    Fail("--" + name, why);
+  }
+
+ private:
+  static std::string FormatDouble(double value) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", value);
+    return buf;
+  }
+  void Fail(const std::string& what, const std::string& why) {
+    std::fprintf(stderr, "healer: %s: %s\n", what.c_str(), why.c_str());
+    ok_ = false;
+  }
+
+  std::map<std::string, std::string> values_;
+  std::optional<std::string> positional_;
+  bool ok_ = true;
+};
 
 std::vector<int> AllIds(const Target& target) {
   std::vector<int> ids;
@@ -150,28 +280,21 @@ void PrintShardedReport(const ShardedCampaignResult& result) {
   std::printf("identities: %s\n", result.identities_ok ? "OK" : "FAILED");
 }
 
-int CmdShardedFuzz(const std::map<std::string, std::string>& flags,
-                   size_t shards) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
+int CmdShardedFuzz(FlagSet& flags, size_t shards) {
   ShardedCampaignOptions options;
   options.shards = shards;
-  options.rounds = static_cast<size_t>(
-      std::strtoull(get("rounds", "8").c_str(), nullptr, 10));
-  options.execs_per_round = static_cast<size_t>(
-      std::strtoull(get("execs-per-round", "128").c_str(), nullptr, 10));
-  options.fanout = static_cast<size_t>(
-      std::strtoull(get("fanout", "1").c_str(), nullptr, 10));
-  options.seed = std::strtoull(get("seed", "1").c_str(), nullptr, 10);
-  options.net_seed =
-      std::strtoull(get("net-seed", "0").c_str(), nullptr, 10);
-  options.use_threads = flags.count("sequential") == 0;
-  options.reconcile_every = static_cast<size_t>(
-      std::strtoull(get("reconcile-every", "4").c_str(), nullptr, 10));
-  options.base.tool = ParseTool(get("tool", "healer"));
-  options.base.version = ParseVersion(get("version", "5.11"));
+  options.rounds = flags.U64("rounds", 8);
+  options.execs_per_round = flags.U64("execs-per-round", 128);
+  options.fanout = flags.U64("fanout", 1);
+  options.seed = flags.U64("seed", 1);
+  options.net_seed = flags.U64("net-seed", 0);
+  options.use_threads = !flags.Has("sequential");
+  options.reconcile_every = flags.U64("reconcile-every", 4);
+  options.base.tool = flags.Tool();
+  options.base.version = flags.Version();
+  if (!flags.ok()) {
+    return 2;
+  }
 
   const ShardedCampaignResult result =
       RunShardedCampaign(BuiltinTarget(), options);
@@ -233,16 +356,23 @@ bool WaitReadFile(const std::string& path, double timeout_secs,
   }
 }
 
-int CmdShard(const std::map<std::string, std::string>& flags) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-  const size_t n = static_cast<size_t>(
-      std::strtoull(get("shards", "0").c_str(), nullptr, 10));
-  const size_t me = static_cast<size_t>(
-      std::strtoull(get("shard-index", "0").c_str(), nullptr, 10));
-  const std::string dir = get("gossip-dir", "");
+int CmdShard(FlagSet& flags) {
+  const size_t n = flags.U64("shards", 0);
+  const size_t me = flags.U64("shard-index", 0);
+  const std::string dir = flags.Str("gossip-dir", "");
+  const size_t rounds = flags.U64("rounds", 8);
+  const size_t execs = flags.U64("execs-per-round", 128);
+  const size_t fanout = flags.U64("fanout", 1);
+  const double timeout = flags.Double("poll-timeout", 120);
+  FuzzerOptions base;
+  base.tool = flags.Tool();
+  base.version = flags.Version();
+  // Same seed schedule as the in-process campaign: shard i fuzzes with
+  // seed + i, so an N-process run reproduces `fuzz --shards N --sequential`.
+  base.seed = flags.U64("seed", 1) + me;
+  if (!flags.ok()) {
+    return 2;
+  }
   if (n < 1 || me >= n || dir.empty()) {
     std::fprintf(stderr,
                  "usage: healer shard --shard-index I --shards N "
@@ -253,21 +383,6 @@ int CmdShard(const std::map<std::string, std::string>& flags) {
     std::fprintf(stderr, "cannot create %s\n", dir.c_str());
     return 1;
   }
-  const size_t rounds = static_cast<size_t>(
-      std::strtoull(get("rounds", "8").c_str(), nullptr, 10));
-  const size_t execs = static_cast<size_t>(
-      std::strtoull(get("execs-per-round", "128").c_str(), nullptr, 10));
-  const size_t fanout = static_cast<size_t>(
-      std::strtoull(get("fanout", "1").c_str(), nullptr, 10));
-  const double timeout = std::atof(get("poll-timeout", "120").c_str());
-
-  FuzzerOptions base;
-  base.tool = ParseTool(get("tool", "healer"));
-  base.version = ParseVersion(get("version", "5.11"));
-  // Same seed schedule as the in-process campaign: shard i fuzzes with
-  // seed + i, so an N-process run reproduces `fuzz --shards N --sequential`.
-  base.seed =
-      std::strtoull(get("seed", "1").c_str(), nullptr, 10) + me;
 
   const Target& target = BuiltinTarget();
   FuzzShard shard(target, base, static_cast<uint32_t>(me));
@@ -343,14 +458,12 @@ int CmdShard(const std::map<std::string, std::string>& flags) {
   return identity_ok ? 0 : 1;
 }
 
-int CmdReconcile(const std::map<std::string, std::string>& flags) {
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-  const size_t n = static_cast<size_t>(
-      std::strtoull(get("shards", "0").c_str(), nullptr, 10));
-  const std::string dir = get("gossip-dir", "");
+int CmdReconcile(FlagSet& flags) {
+  const size_t n = flags.U64("shards", 0);
+  const std::string dir = flags.Str("gossip-dir", "");
+  if (!flags.ok()) {
+    return 2;
+  }
   if (n < 1 || dir.empty()) {
     std::fprintf(stderr,
                  "usage: healer reconcile --shards N --gossip-dir DIR\n");
@@ -399,28 +512,45 @@ int CmdReconcile(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdFuzz(const std::map<std::string, std::string>& flags) {
-  CampaignOptions options;
-  auto get = [&](const char* name, const char* fallback) {
-    auto it = flags.find(name);
-    return it == flags.end() ? std::string(fallback) : it->second;
-  };
-  {
-    const size_t shards = static_cast<size_t>(
-        std::strtoull(get("shards", "1").c_str(), nullptr, 10));
-    if (shards > 1) {
-      return CmdShardedFuzz(flags, shards);
+// `fuzz` flags split by mode: a sharded campaign (--shards N > 1) reads the
+// common and shard-only flags and rejects the rest; a single campaign
+// rejects the shard-only ones.
+constexpr std::string_view kCommonFuzzFlags[] = {"seed", "shards", "tool",
+                                                 "version"};
+constexpr std::string_view kShardOnlyFuzzFlags[] = {
+    "execs-per-round", "fanout", "net-seed", "reconcile-every", "rounds",
+    "sequential"};
+
+template <size_t N>
+bool Contains(const std::string_view (&names)[N], std::string_view name) {
+  return std::find(std::begin(names), std::end(names), name) !=
+         std::end(names);
+}
+
+int CmdFuzz(FlagSet& flags) {
+  const size_t shards = flags.U64("shards", 1);
+  for (const std::string& name : flags.Given()) {
+    const bool shard_only = Contains(kShardOnlyFuzzFlags, name);
+    if (shards > 1 && !shard_only && !Contains(kCommonFuzzFlags, name)) {
+      flags.Reject(name, "not supported with --shards N > 1");
+    } else if (shards <= 1 && shard_only) {
+      flags.Reject(name, "needs --shards N > 1");
     }
   }
-  options.tool = ParseTool(get("tool", "healer"));
-  options.version = ParseVersion(get("version", "5.11"));
-  options.hours = std::atof(get("hours", "4").c_str());
-  options.seed = std::strtoull(get("seed", "1").c_str(), nullptr, 10);
-  options.initial_corpus_path = get("corpus-in", "");
-  options.save_corpus_path = get("corpus-out", "");
+  if (shards > 1) {
+    return CmdShardedFuzz(flags, shards);
+  }
+  CampaignOptions options;
+  options.tool = flags.Tool();
+  options.version = flags.Version();
+  options.hours = flags.Double("hours", 4);
+  options.seed = flags.U64("seed", 1);
+  options.max_execs = flags.U64("max-execs", options.max_execs);
+  options.initial_corpus_path = flags.Str("corpus-in", "");
+  options.save_corpus_path = flags.Str("corpus-out", "");
   {
     Result<CorpusFormat> format =
-        ParseCorpusFormat(get("corpus-format", "legacy"));
+        ParseCorpusFormat(flags.Str("corpus-format", "legacy"));
     if (!format.ok()) {
       std::fprintf(stderr, "bad --corpus-format: %s\n",
                    format.status().ToString().c_str());
@@ -428,16 +558,15 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
     }
     options.corpus_format = *format;
   }
-  options.initial_relations_path = get("relations-in", "");
-  options.save_relations_path = get("relations-out", "");
+  options.initial_relations_path = flags.Str("relations-in", "");
+  options.save_relations_path = flags.Str("relations-out", "");
 
   // Fault injection: --fault-rate P applies one rate to every kind;
   // --faults gives per-kind rates ("crash=0.01,timeout=0.005").
-  const std::string fault_rate = get("fault-rate", "");
-  if (!fault_rate.empty()) {
-    options.fault_plan = FaultPlan::Uniform(std::atof(fault_rate.c_str()));
+  if (flags.Has("fault-rate")) {
+    options.fault_plan = FaultPlan::Uniform(flags.Double("fault-rate", 0, 1));
   }
-  const std::string fault_spec = get("faults", "");
+  const std::string fault_spec = flags.Str("faults", "");
   if (!fault_spec.empty()) {
     Result<FaultPlan> plan = ParseFaultPlan(fault_spec);
     if (!plan.ok()) {
@@ -447,32 +576,36 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
     }
     options.fault_plan = *plan;
   }
-  options.recovery.max_retries =
-      std::atoi(get("fault-retries", "3").c_str());
+  options.recovery.max_retries = static_cast<int>(
+      flags.U64("fault-retries", 3, std::numeric_limits<int>::max()));
 
   // Fleet topology: --fleet-size N simulates N guests on the reactor
   // shards (0 = legacy pinned pool); --fleet-shards overrides the
   // auto-derived shard count (fleet_size / 256).
-  options.fleet_size = static_cast<size_t>(
-      std::strtoull(get("fleet-size", "0").c_str(), nullptr, 10));
-  options.fleet_shards = static_cast<size_t>(
-      std::strtoull(get("fleet-shards", "0").c_str(), nullptr, 10));
+  options.fleet_size = flags.U64("fleet-size", 0);
+  options.fleet_shards = flags.U64("fleet-shards", 0);
 
   // Telemetry surfaces: live status, metric dump, span trace.
-  const double status_secs = std::atof(get("status-period", "0").c_str());
+  const double status_secs = flags.Double("status-period", 0);
   if (status_secs > 0) {
     options.status_period = static_cast<SimClock::Nanos>(
         status_secs * static_cast<double>(SimClock::kSecond));
   }
-  const std::string metrics_out = get("metrics-out", "");
-  const std::string trace_out = get("trace-out", "");
+  const std::string metrics_out = flags.Str("metrics-out", "");
+  const std::string trace_out = flags.Str("trace-out", "");
   options.capture_trace = !trace_out.empty();
 
   // Flight recorder and crash postmortems.
-  const std::string journal_out = get("journal-out", "");
-  options.journal_capacity = static_cast<size_t>(
-      std::strtoull(get("journal-capacity", "4096").c_str(), nullptr, 10));
-  options.postmortem_dir = get("postmortem-dir", "");
+  const std::string journal_out = flags.Str("journal-out", "");
+  options.journal_capacity = flags.U64("journal-capacity", 4096);
+  options.postmortem_dir = flags.Str("postmortem-dir", "");
+  const bool serve = flags.Has("http-port");
+  const uint16_t http_port =
+      static_cast<uint16_t>(flags.U64("http-port", 0, 65535));
+  const double serve_secs = flags.Double("serve-secs", 0);
+  if (!flags.ok()) {
+    return 2;
+  }
 
   // Live introspection: --http-port binds a localhost-only HTTP server
   // (port 0 picks an ephemeral one; the bound port goes to stderr so
@@ -480,11 +613,10 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
   // at every sample point; the server answers from them off the hot path.
   IntrospectionHub hub;
   IntrospectServer server(&hub);
-  const std::string http_port = get("http-port", "");
-  if (!http_port.empty()) {
-    if (!server.Start(static_cast<uint16_t>(std::atoi(http_port.c_str())))) {
-      std::fprintf(stderr, "cannot bind introspection server (port %s)\n",
-                   http_port.c_str());
+  if (serve) {
+    if (!server.Start(http_port)) {
+      std::fprintf(stderr, "cannot bind introspection server (port %u)\n",
+                   static_cast<unsigned>(http_port));
       return 1;
     }
     std::fprintf(stderr, "introspection server listening on 127.0.0.1:%u\n",
@@ -495,8 +627,8 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
 
   const CampaignResult result = RunCampaign(options);
   ReportOptions ropts;
-  ropts.include_samples = flags.count("curve") != 0;
-  ropts.include_relations = flags.count("edges") != 0;
+  ropts.include_samples = flags.Has("curve");
+  ropts.include_relations = flags.Has("edges");
   std::fputs(FormatCampaignReport(result, ropts).c_str(), stdout);
 
   if (!metrics_out.empty()) {
@@ -535,7 +667,6 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
                 : JournalRecordsToJsonl(result.journal));
   }
   if (server.running()) {
-    const double serve_secs = std::atof(get("serve-secs", "0").c_str());
     if (serve_secs > 0) {
       std::this_thread::sleep_for(
           std::chrono::duration<double>(serve_secs));
@@ -545,17 +676,17 @@ int CmdFuzz(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdRelations(const std::map<std::string, std::string>& flags) {
+int CmdRelations(FlagSet& flags) {
+  const KernelVersion version = flags.Version();
+  if (!flags.ok()) {
+    return 2;
+  }
   const Target& target = BuiltinTarget();
   RelationTable table(target.NumSyscalls());
   const size_t statics = StaticRelationLearn(target, &table);
   std::printf("# static relations: %zu\n", statics);
-  if (flags.count("probe") != 0) {
-    Executor executor(
-        target, KernelConfig::ForVersion(
-                    ParseVersion(flags.count("version") != 0
-                                     ? flags.at("version")
-                                     : "5.11")));
+  if (flags.Has("probe")) {
+    Executor executor(target, KernelConfig::ForVersion(version));
     SimClock clock;
     DynamicLearner learner(
         &table, [&](const Prog& p) { return executor.Run(p, nullptr); },
@@ -577,15 +708,18 @@ int CmdRelations(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdConvert(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("__positional");
-  if (it == flags.end()) {
+int CmdConvert(FlagSet& flags) {
+  if (!flags.ok()) {
+    return 2;
+  }
+  if (!flags.positional().has_value()) {
     std::fprintf(stderr, "usage: healer convert HEADER_FILE\n");
     return 2;
   }
-  std::ifstream in(it->second);
+  const std::string& path = *flags.positional();
+  std::ifstream in(path);
   if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", it->second.c_str());
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
     return 1;
   }
   std::ostringstream buf;
@@ -600,23 +734,23 @@ int CmdConvert(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdReplay(const std::map<std::string, std::string>& flags) {
-  auto it = flags.find("__positional");
-  if (it == flags.end()) {
+int CmdReplay(FlagSet& flags) {
+  const KernelVersion version = flags.Version();
+  if (!flags.ok()) {
+    return 2;
+  }
+  if (!flags.positional().has_value()) {
     std::fprintf(stderr, "usage: healer replay CORPUS_FILE [--version V]\n");
     return 2;
   }
   const Target& target = BuiltinTarget();
   size_t skipped = 0;
-  auto progs = LoadProgs(it->second, target, &skipped);
+  auto progs = LoadProgs(*flags.positional(), target, &skipped);
   if (!progs.ok()) {
     std::fprintf(stderr, "%s\n", progs.status().ToString().c_str());
     return 1;
   }
-  Executor executor(
-      target,
-      KernelConfig::ForVersion(ParseVersion(
-          flags.count("version") != 0 ? flags.at("version") : "5.11")));
+  Executor executor(target, KernelConfig::ForVersion(version));
   Bitmap coverage(CallCoverage::kMapBits);
   size_t crashes = 0;
   for (const Prog& prog : *progs) {
@@ -633,9 +767,11 @@ int CmdReplay(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdBugs(const std::map<std::string, std::string>& flags) {
-  const KernelVersion version = ParseVersion(
-      flags.count("version") != 0 ? flags.at("version") : "5.11");
+int CmdBugs(FlagSet& flags) {
+  const KernelVersion version = flags.Version();
+  if (!flags.ok()) {
+    return 2;
+  }
   std::printf("%-55s %-25s %-9s %s\n", "title", "class", "subsystem",
               "min-repro");
   size_t live = 0;
@@ -666,26 +802,45 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const auto flags = ParseFlags(argc, argv, 2);
   if (cmd == "fuzz") {
+    FlagSet flags(argc, argv, 2,
+                  {"corpus-format", "corpus-in", "corpus-out",
+                   "execs-per-round", "fanout", "fault-rate", "fault-retries",
+                   "faults", "fleet-shards", "fleet-size", "hours",
+                   "http-port", "journal-capacity", "journal-out",
+                   "max-execs", "metrics-out", "net-seed", "postmortem-dir",
+                   "reconcile-every", "relations-in", "relations-out",
+                   "rounds", "seed", "serve-secs", "shards", "status-period",
+                   "tool", "trace-out", "version"},
+                  {"curve", "edges", "sequential"});
     return CmdFuzz(flags);
   }
   if (cmd == "relations") {
+    FlagSet flags(argc, argv, 2, {"version"}, {"probe"});
     return CmdRelations(flags);
   }
   if (cmd == "convert") {
+    FlagSet flags(argc, argv, 2, {}, {}, /*positional=*/true);
     return CmdConvert(flags);
   }
   if (cmd == "replay") {
+    FlagSet flags(argc, argv, 2, {"version"}, {}, /*positional=*/true);
     return CmdReplay(flags);
   }
   if (cmd == "bugs") {
+    FlagSet flags(argc, argv, 2, {"version"}, {});
     return CmdBugs(flags);
   }
   if (cmd == "shard") {
+    FlagSet flags(argc, argv, 2,
+                  {"execs-per-round", "fanout", "gossip-dir", "poll-timeout",
+                   "rounds", "seed", "shard-index", "shards", "tool",
+                   "version"},
+                  {});
     return CmdShard(flags);
   }
   if (cmd == "reconcile") {
+    FlagSet flags(argc, argv, 2, {"gossip-dir", "shards"}, {});
     return CmdReconcile(flags);
   }
   Usage();
