@@ -53,8 +53,8 @@ struct ScalingRow {
 
 ScalingRow RunOne(size_t workers, uint64_t total_execs) {
   ParallelOptions options;
-  options.tool = ToolKind::kHealer;
-  options.seed = 7;
+  options.base.tool = ToolKind::kHealer;
+  options.base.seed = 7;
   options.num_workers = workers;
   options.total_execs = total_execs;
   options.batch_size = 32;
@@ -158,16 +158,16 @@ FleetRow RunFleet(size_t fleet_size, uint64_t total_execs) {
 
   ResetPeakRss();
   ParallelOptions options;
-  options.tool = ToolKind::kHealer;
-  options.seed = 7;
+  options.base.tool = ToolKind::kHealer;
+  options.base.seed = 7;
   options.num_workers = kFleetWorkers;
   options.total_execs = total_execs;
   options.batch_size = 32;
-  options.fleet_size = fleet_size;
+  options.base.fleet_size = fleet_size;
   // A light fault mix keeps the reboot path (parked guests, shard
   // doorbells, async reboot timers) in play at every scale.
-  options.fault_plan.set_rate(FaultKind::kVmCrash, 0.01);
-  options.fault_plan.set_rate(FaultKind::kBootFailure, 0.02);
+  options.base.fault_plan.set_rate(FaultKind::kVmCrash, 0.01);
+  options.base.fault_plan.set_rate(FaultKind::kBootFailure, 0.02);
   const auto start = std::chrono::steady_clock::now();
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   const double wall_secs =

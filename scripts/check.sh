@@ -36,8 +36,8 @@ jobs=$(nproc 2>/dev/null || echo 4)
 stage="${1:-all}"
 
 run_tier1() {
-  echo "==> tier-1: build + ctest"
-  cmake -B build -S . >/dev/null
+  echo "==> tier-1: build (warnings are errors) + ctest"
+  cmake -B build -S . -DCMAKE_CXX_FLAGS=-Werror >/dev/null
   cmake --build build -j"$jobs"
   ctest --test-dir build --output-on-failure -j"$jobs"
 }
@@ -250,10 +250,10 @@ run_exec() {
       found=1; if (speedup < 2) { print "FAIL: ring speedup below 2x"; exit 1 }
     } END { if (!found) { print "FAIL: ring_vs_legacy_p50_speedup missing"; exit 1 } }' \
     "$tmp/BENCH_exec_replay.json"
-  # Transport equivalence: fixed-seed ring campaigns must stay bit-identical
-  # to their legacy twins (the differential that licenses the fast path).
-  ctest --test-dir build --output-on-failure \
-    -R 'RingTransport|PipelinedRing'
+  # Transport equivalence: ring batches must stay bit-identical to the
+  # legacy one-at-a-time GuestVm::Exec (the differential that licenses the
+  # fast path), fault-free and faulted.
+  ctest --test-dir build --output-on-failure -R 'ExecBatchTest'
 }
 
 run_introspect() {

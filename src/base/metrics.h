@@ -3,7 +3,7 @@
 //
 // Design constraints, in order:
 //   1. Hot-path cost. Counter::Add is one relaxed fetch_add on a per-thread
-//      shard (cache-line padded), so ParallelFuzzer workers never contend on
+//      shard (cache-line padded), so parallel fuzz workers never contend on
 //      a shared atomic. Callers hold raw Counter*/Gauge*/Histogram* handles;
 //      the registry mutex is only taken at registration and snapshot time.
 //   2. Determinism. Metrics are plain exact integer/double cells — a

@@ -112,14 +112,16 @@ class TraceSpan {
 #ifndef HEALER_NO_TELEMETRY
 #define HEALER_TRACE_CONCAT2(a, b) a##b
 #define HEALER_TRACE_CONCAT(a, b) HEALER_TRACE_CONCAT2(a, b)
-#define HEALER_TRACE_SPAN(buffer, clock, name, category)                   \
+// An optional trailing argument is the event's tid (the worker index).
+#define HEALER_TRACE_SPAN(buffer, clock, name, category, ...)             \
   ::healer::TraceSpan HEALER_TRACE_CONCAT(healer_trace_span_, __COUNTER__)( \
-      (buffer), (clock), (name), (category))
-#define HEALER_TRACE_INSTANT(buffer, clock, name, category) \
-  (buffer)->RecordInstant((name), (category), (clock)->now())
+      (buffer), (clock), (name), (category)__VA_OPT__(, ) __VA_ARGS__)
+#define HEALER_TRACE_INSTANT(buffer, clock, name, category, ...) \
+  (buffer)->RecordInstant((name), (category),                     \
+                          (clock)->now()__VA_OPT__(, ) __VA_ARGS__)
 #else
-#define HEALER_TRACE_SPAN(buffer, clock, name, category) ((void)0)
-#define HEALER_TRACE_INSTANT(buffer, clock, name, category) ((void)0)
+#define HEALER_TRACE_SPAN(...) ((void)0)
+#define HEALER_TRACE_INSTANT(...) ((void)0)
 #endif
 
 }  // namespace healer

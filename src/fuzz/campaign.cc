@@ -30,7 +30,6 @@ CampaignResult RunCampaign(const CampaignOptions& options) {
   fuzz_options.fixed_alpha = options.fixed_alpha;
   fuzz_options.fault_plan = options.fault_plan;
   fuzz_options.recovery = options.recovery;
-  fuzz_options.transport = options.transport;
   fuzz_options.trace_capacity =
       options.capture_trace ? options.trace_capacity : 0;
   fuzz_options.journal_capacity = options.journal_capacity;

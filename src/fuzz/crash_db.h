@@ -5,7 +5,6 @@
 #ifndef SRC_FUZZ_CRASH_DB_H_
 #define SRC_FUZZ_CRASH_DB_H_
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,22 +30,18 @@ class CrashDb {
   bool Record(BugId bug, const std::string& title, SimClock::Nanos when,
               uint64_t exec_index, size_t repro_len);
 
+  // Lowers a known bug's shortest reproducer length without counting a hit
+  // (the minimized reproducer is analysis, not a new crash report).
+  void NoteRepro(BugId bug, size_t repro_len);
+
   size_t UniqueBugs() const { return records_.size(); }
   bool Found(BugId bug) const { return records_.count(bug) != 0; }
   const CrashRecord* Find(BugId bug) const;
 
   std::vector<CrashRecord> All() const;
 
-  // Invoked from Record() for each previously-unseen bug, after the record
-  // is stored — the postmortem-bundle trigger. The callback runs on the
-  // recording thread; keep it bounded.
-  void set_on_new_crash(std::function<void(const CrashRecord&)> hook) {
-    on_new_crash_ = std::move(hook);
-  }
-
  private:
   std::map<BugId, CrashRecord> records_;
-  std::function<void(const CrashRecord&)> on_new_crash_;
 };
 
 }  // namespace healer

@@ -1,5 +1,5 @@
 // The fuzzing pipeline's metric handles, registered once per registry and
-// shared by Fuzzer and the ParallelFuzzer workers (handles are lock-free;
+// shared by every Fuzzer on one SharedFuzzState (handles are lock-free;
 // counters shard per thread, so workers never contend).
 //
 // Naming scheme (DESIGN.md §6): healer_<area>_<metric>[_total|_ns], areas

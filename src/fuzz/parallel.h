@@ -1,149 +1,64 @@
-// Multi-worker fuzzing (Figure 3): worker threads (Job_i) drive the entire
-// fuzzing process on the host and synchronize through a shared fuzzing
-// state — coverage bitmap, corpus, crash db, relation table, alpha schedule
-// — while each worker pulls ready guests from its VmPool lane (in the
-// default topology that lane holds exactly one pinned VM). The Monitor's
-// log drains ride the pool's reactor shards as SimClock timers; no
-// dedicated monitor thread exists.
+// Multi-worker fuzzing (Figure 3): worker threads (Job_i) each run the
+// whole fuzzing loop — they are Fuzzers (fuzzer.h) attached to one
+// SharedFuzzState, one VmPool lane each (in the default topology that lane
+// holds exactly one pinned VM). The Monitor's log drains ride the pool's
+// reactor shards as SimClock timers; no dedicated monitor thread exists.
 //
-// The shared-state mutex covers ONLY feedback merging. Workers fuzz
-// against read-mostly views and batch their feedback:
+// Workers fuzz against read-mostly views and batch their feedback:
 //
-//   * generation/mutation samples an epoch-versioned CorpusSnapshot
-//     (shared_ptr swapped on publish; workers refresh when corpus_epoch
-//     advances) — no lock on the pick path;
+//   * mutation samples an epoch-versioned CorpusSnapshot (shared_ptr
+//     swapped on publish; workers refresh when corpus_epoch advances) — no
+//     lock on the pick path;
 //   * execution merges coverage straight into the campaign Bitmap, whose
 //     Set/MergeNew are atomic-word operations — no lock on the merge path;
-//   * guided selection reads the RelationTable's immutable CSR snapshot
-//     (epoch-probed, same protocol as the corpus snapshot) and dynamic
-//     learning accumulates a per-worker RelationDelta, flushed through
-//     RelationTable::Apply at publish time with exactly-once edge credit —
-//     workers never take a lock to read relations (DESIGN.md §8);
-//   * everything else (corpus adds, crash records, alpha outcomes, the
-//     fuzz_execs total) accumulates in a per-worker batch, published in one
-//     short `mu` acquisition every `batch_size` executions or immediately
-//     on new coverage / a crash.
+//   * guided selection and dynamic learning read the RelationTable's
+//     immutable CSR snapshot; learned edges accumulate in the worker's
+//     RelationDelta and reach the table through RelationTable::Apply at
+//     publish time, credited exactly once (DESIGN.md §8);
+//   * crashes are recorded (and their reproducers minimized) inline, under
+//     a short SharedFuzzState::mu hold;
+//   * corpus adds and alpha outcomes accumulate in the worker's batch,
+//     published in one short `mu` acquisition every `batch_size`
+//     executions, or at once on new coverage or a crash.
 //
 // Lock contention is measured, not assumed: healer_parallel_lock_wait_ns /
 // _held_ns histograms and the healer_parallel_lock_held_share gauge make
 // the critical-section share visible in --metrics-out, and
 // scripts/check.sh's `parallel` stage gates on it.
 //
-// Parallel campaigns are scheduling-dependent; the deterministic
-// single-threaded Fuzzer remains the benchmarking reference (DESIGN.md §7).
+// With one worker and batch_size 1 a parallel campaign is draw-identical to
+// a standalone Fuzzer on the same options; with more workers it is
+// scheduling-dependent, and the deterministic standalone Fuzzer remains the
+// benchmarking reference (DESIGN.md §7).
 
 #ifndef SRC_FUZZ_PARALLEL_H_
 #define SRC_FUZZ_PARALLEL_H_
 
-#include <atomic>
-#include <bit>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <vector>
 
 #include "src/base/journal.h"
 #include "src/base/metrics.h"
 #include "src/base/trace.h"
-#include "src/fuzz/call_selector.h"
-#include "src/fuzz/corpus.h"
-#include "src/fuzz/crash_db.h"
-#include "src/fuzz/fuzz_metrics.h"
 #include "src/fuzz/fuzzer.h"
-#include "src/fuzz/learner.h"
-#include "src/fuzz/minimizer.h"
-#include "src/fuzz/prog_builder.h"
-#include "src/fuzz/relation_table.h"
 
 namespace healer {
 
-// The "Shared Fuzz State" box of Figure 3.
-struct SharedFuzzState {
-  explicit SharedFuzzState(size_t num_syscalls, size_t trace_capacity = 0,
-                           size_t journal_capacity = 0)
-      : coverage(CallCoverage::kMapBits),
-        relations(num_syscalls),
-        trace(trace_capacity),
-        journal(journal_capacity) {}
-
-  // ---- Lock-free fleet state ----
-  Bitmap coverage;          // Atomic-word merges; no external lock.
-  RelationTable relations;  // Snapshot-read, delta-written (DESIGN.md §8).
-  // Exec-slot dispenser: each worker claims tickets until total_execs.
-  std::atomic<uint64_t> exec_tickets{0};
-  // Current alpha as bit_cast<uint64_t>(double); workers read it per step
-  // without touching the AlphaSchedule (which lives under mu).
-  std::atomic<uint64_t> alpha_bits{
-      std::bit_cast<uint64_t>(AlphaSchedule::kInitial)};
-
-  // ---- Corpus snapshot hand-off ----
-  // Workers cache `corpus_snapshot` and re-copy the pointer (briefly under
-  // snapshot_mu) only when corpus_epoch moved past their cached epoch. The
-  // unlocked epoch probe is an optimization: a stale read just delays the
-  // refresh by one step.
-  std::mutex snapshot_mu;
-  std::shared_ptr<const CorpusSnapshot> corpus_snapshot;
-  std::atomic<uint64_t> corpus_epoch{0};
-
-  // ---- Publish-locked authoritative state (guarded by mu) ----
-  // mu is held only inside Worker::Publish — never across VM execution,
-  // generation/mutation, minimization or learning.
-  std::mutex mu;
-  Corpus corpus;
-  CrashDb crashes;
-  AlphaSchedule alpha;
-  uint64_t fuzz_execs = 0;
-  // How many alpha re-estimations workers have already published to the
-  // telemetry counters (guarded by mu).
-  uint64_t alpha_updates_seen = 0;
-
-  // Fleet-wide telemetry: counters shard per worker thread, so recording is
-  // contention-free; the recovery-side fault accounting lives here too (the
-  // injected counters live in the VM injectors, merged at the end).
-  MetricRegistry metrics;
-  TraceBuffer trace;
-  // Flight-recorder ring. Workers never Append directly: each stages
-  // records in its private JournalWriter and drains them at its publish
-  // point, so the journal mutex sees one acquire per batch.
-  Journal journal;
-};
-
 struct ParallelOptions {
-  ToolKind tool = ToolKind::kHealer;
-  KernelVersion version = KernelVersion::kV5_11;
-  uint64_t seed = 1;
+  // Every worker's Fuzzer configuration. The pool gets one lane per worker
+  // instead of base.num_vms; base.fleet_size spreads that many guests over
+  // the lanes (0 pins one VM per worker).
+  FuzzerOptions base;
   size_t num_workers = 4;
+  // Fuzz executions the campaign runs, across all workers.
   uint64_t total_execs = 10000;
   // Executions a worker accumulates before publishing its feedback batch
   // (new coverage and crashes publish immediately).
   size_t batch_size = 32;
-  // Fault injection (empty = fault-free) and per-worker recovery policy.
-  FaultPlan fault_plan;
-  RecoveryPolicy recovery;
-  // Programs each worker keeps in flight on its VM per submit/drain round.
-  // 1 = the legacy one-at-a-time shm path; >= 2 switches the worker to the
-  // batched SQ/CQ ring transport (GuestVm::ExecBatch): it claims up to
-  // pipeline_depth exec tickets, builds that many programs, submits them
-  // all into the VM's SQ, and processes feedback per completion — hundreds
-  // of programs in flight per VM with one round-trip overhead per drain.
-  size_t pipeline_depth = 1;
-  // Span-trace ring capacity (0 disables tracing).
-  size_t trace_capacity = 0;
-  // Flight-recorder ring capacity (0 disables journaling).
-  size_t journal_capacity = 0;
-  // Total simulated guests. 0 (the default) keeps the legacy topology: one
-  // VM pinned per worker, byte-identical to the historical pool. A value
-  // above num_workers builds a reactor fleet instead — VMs spread across
-  // one lane per worker, lifecycle (async boots, crash reboots) driven by
-  // EventLoop shards that the workers pump cooperatively. No extra OS
-  // threads: 2048 guests still run on num_workers threads.
-  size_t fleet_size = 0;
-  // Reactor shards for fleet mode. 0 = auto: fleet_size / 256, clamped to
-  // [1, num_workers].
-  size_t fleet_shards = 0;
 };
 
 struct ParallelResult {
   size_t coverage = 0;
+  uint64_t coverage_hash = 0;
   uint64_t fuzz_execs = 0;
   size_t corpus_size = 0;
   size_t unique_bugs = 0;
@@ -163,10 +78,11 @@ struct ParallelResult {
   // Deduplicated crash records (bug set, hit counts, shortest repros).
   std::vector<CrashRecord> crash_records;
   // Full telemetry snapshot of the shared registry, and the buffered span
-  // trace (empty unless options.trace_capacity > 0).
+  // trace (empty unless base.trace_capacity > 0).
   MetricsSnapshot telemetry;
   std::vector<TraceEvent> trace_events;
-  // Flight-recorder window, oldest first (empty unless journal_capacity).
+  // Flight-recorder window, oldest first (empty unless
+  // base.journal_capacity > 0).
   std::vector<JournalRecord> journal;
 };
 

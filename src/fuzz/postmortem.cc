@@ -53,9 +53,7 @@ std::string CrashJson(const PostmortemBundle& bundle) {
                    (unsigned long long)crash.first_exec);
   out += StrFormat("  \"shortest_repro\": %zu,\n", crash.shortest_repro);
   out += StrFormat("  \"seed\": %llu,\n", (unsigned long long)bundle.seed);
-  out += StrFormat("  \"tool\": \"%s\",\n", JsonEscape(bundle.tool).c_str());
-  out += StrFormat("  \"transport\": \"%s\"\n",
-                   JsonEscape(bundle.transport).c_str());
+  out += StrFormat("  \"tool\": \"%s\"\n", JsonEscape(bundle.tool).c_str());
   out += "}\n";
   return out;
 }

@@ -1,5 +1,5 @@
 // Crash postmortem bundles: the black box that ships with every unique
-// crash. When CrashDb sees a previously-unseen bug its on_new_crash hook
+// crash. When a Fuzzer records a previously-unseen bug in the CrashDb it
 // assembles a PostmortemBundle — triggering program, the last-N flight-
 // recorder window, a full metrics snapshot, per-VM SQ/CQ ring occupancy and
 // the relation-table state — and writes it as one self-contained directory
@@ -41,7 +41,6 @@ struct PostmortemBundle {
   // Campaign identity, so a bundle is interpretable standalone.
   uint64_t seed = 0;
   std::string tool;
-  std::string transport;
   std::string program_text;  // Triggering program.
   std::vector<JournalRecord> journal_window;
   MetricsSnapshot metrics;

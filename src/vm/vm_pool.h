@@ -134,6 +134,7 @@ class VmPool {
   void set_shard_journal(size_t s, JournalWriter* journal) {
     shards_[s]->journal = journal;
   }
+  JournalWriter* shard_journal(size_t s) const { return shards_[s]->journal; }
 
   // Per-shard state census (lock-free reads of each VM's state atomic).
   std::vector<FleetShardSummary> ShardSummaries() const;

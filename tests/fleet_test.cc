@@ -385,14 +385,14 @@ TEST(FleetFuzzerTest, FleetStatusCensusCoversEveryGuest) {
 
 TEST(FleetFuzzTest, ParallelFleetSmokeAndHealthReconciliation) {
   ParallelOptions options;
-  options.seed = 11;
+  options.base.seed = 11;
   options.num_workers = 4;
   options.total_execs = 1200;
-  options.fleet_size = 512;
-  options.fleet_shards = 2;
-  options.journal_capacity = 2048;
-  options.fault_plan.set_rate(FaultKind::kVmCrash, 0.02);
-  options.fault_plan.set_rate(FaultKind::kBootFailure, 0.05);
+  options.base.fleet_size = 512;
+  options.base.fleet_shards = 2;
+  options.base.journal_capacity = 2048;
+  options.base.fault_plan.set_rate(FaultKind::kVmCrash, 0.02);
+  options.base.fault_plan.set_rate(FaultKind::kBootFailure, 0.05);
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
 
   EXPECT_EQ(result.fuzz_execs, 1200u);
@@ -425,10 +425,10 @@ TEST(FleetFuzzTest, LegacyTopologyIsUnchangedByFleetPlumbing) {
   // scheduling-dependent, so the check is structural, not value-for-value).
   for (const size_t fleet_size : {size_t{0}, size_t{2}}) {
     ParallelOptions options;
-    options.seed = 3;
+    options.base.seed = 3;
     options.num_workers = 2;
     options.total_execs = 400;
-    options.fleet_size = fleet_size;
+    options.base.fleet_size = fleet_size;
     const ParallelResult r = RunParallelFuzz(BuiltinTarget(), options);
     EXPECT_EQ(r.fuzz_execs, 400u) << "fleet_size " << fleet_size;
     EXPECT_GT(r.coverage, 0u);

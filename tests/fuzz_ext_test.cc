@@ -256,10 +256,10 @@ TEST(FaultInjectionTest, NthAllocationFails) {
 
 TEST(ParallelFuzzTest, WorkersShareStateAndFinish) {
   ParallelOptions options;
-  options.tool = ToolKind::kHealer;
+  options.base.tool = ToolKind::kHealer;
   options.num_workers = 4;
   options.total_execs = 600;
-  options.seed = 51;
+  options.base.seed = 51;
   const ParallelResult result =
       RunParallelFuzz(BuiltinTarget(), options);
   EXPECT_GE(result.fuzz_execs, options.total_execs);
@@ -271,7 +271,7 @@ TEST(ParallelFuzzTest, WorkersShareStateAndFinish) {
 
 TEST(ParallelFuzzTest, HealerMinusModeHasNoRelations) {
   ParallelOptions options;
-  options.tool = ToolKind::kHealerMinus;
+  options.base.tool = ToolKind::kHealerMinus;
   options.num_workers = 2;
   options.total_execs = 200;
   const ParallelResult result =

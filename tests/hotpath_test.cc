@@ -138,7 +138,7 @@ TEST(ArenaHeapEquivalenceTest, SameSeedSameProgramsSameCoverage) {
   Bitmap arena_cov(CallCoverage::kMapBits);
 
   for (int iter = 0; iter < 60; ++iter) {
-    arena.Reset();  // Mirrors Fuzzer::Step / parallel Worker::Run.
+    arena.Reset();  // Mirrors the top of Fuzzer::Step.
     Prog heap_prog = heap_builder.Generate(heap_choose, 2 + iter % 5);
     Prog arena_prog = arena_builder.Generate(arena_choose, 2 + iter % 5);
     if (iter % 3 == 1) {

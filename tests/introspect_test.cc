@@ -342,10 +342,10 @@ TEST(ParallelJournalTest, ExecRecordsReconcileWithFuzzExecs) {
     GTEST_SKIP() << "telemetry compiled out";
   }
   ParallelOptions options;
-  options.seed = 5;
+  options.base.seed = 5;
   options.num_workers = 4;
   options.total_execs = 400;
-  options.journal_capacity = 1 << 16;  // Keep every record.
+  options.base.journal_capacity = 1 << 16;  // Keep every record.
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   EXPECT_EQ(result.fuzz_execs, options.total_execs);
   std::map<JournalKind, size_t> by_kind;
@@ -367,9 +367,10 @@ TEST(ParallelJournalTest, ExecRecordsReconcileWithFuzzExecs) {
   EXPECT_GT(by_kind[JournalKind::kCorpusAdd], 0u);
 }
 
-TEST(ParallelJournalTest, DisabledByDefault) {
+TEST(ParallelJournalTest, DisabledAtZeroCapacity) {
   ParallelOptions options;
-  options.seed = 5;
+  options.base.seed = 5;
+  options.base.journal_capacity = 0;
   options.num_workers = 2;
   options.total_execs = 64;
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);

@@ -11,11 +11,21 @@
 
 #include <set>
 
+#include "src/base/hash.h"
 #include "src/fuzz/parallel.h"
 #include "src/syzlang/builtin_descs.h"
 
 namespace healer {
 namespace {
+
+// Order-independent content hash of a corpus.
+uint64_t CorpusHash(const std::vector<Prog>& progs) {
+  uint64_t hash = 0;
+  for (const Prog& prog : progs) {
+    hash ^= Mix64(Corpus::ContentHash(prog));
+  }
+  return hash;
+}
 
 std::set<BugId> BugSet(const ParallelResult& result) {
   std::set<BugId> bugs;
@@ -33,7 +43,7 @@ TEST(ParallelScalingTest, EightWorkersReconcileTelemetryExactly) {
   options.num_workers = 8;
   options.total_execs = 1200;
   options.batch_size = 16;
-  options.seed = 77;
+  options.base.seed = 77;
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   const MetricsSnapshot& t = result.telemetry;
 
@@ -105,7 +115,7 @@ TEST(ParallelScalingTest, EightWorkersReconcileRelationEdgesExactly) {
   options.num_workers = 8;
   options.total_execs = 1600;
   options.batch_size = 8;
-  options.seed = 13;
+  options.base.seed = 13;
   const ParallelResult result = RunParallelFuzz(target, options);
 
   EXPECT_EQ(result.relations_static, statics);
@@ -125,7 +135,7 @@ TEST(ParallelScalingTest, SingleWorkerParallelIsDeterministic) {
   ParallelOptions options;
   options.num_workers = 1;
   options.total_execs = 1500;
-  options.seed = 99;
+  options.base.seed = 99;
   options.batch_size = 64;
   const ParallelResult a = RunParallelFuzz(BuiltinTarget(), options);
   const ParallelResult b = RunParallelFuzz(BuiltinTarget(), options);
@@ -147,7 +157,7 @@ TEST(ParallelScalingTest, BatchSizeOneStillCountsEverything) {
   options.num_workers = 8;
   options.total_execs = 400;
   options.batch_size = 1;
-  options.seed = 31;
+  options.base.seed = 31;
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   const MetricsSnapshot& t = result.telemetry;
   EXPECT_EQ(result.fuzz_execs, options.total_execs);
@@ -155,6 +165,61 @@ TEST(ParallelScalingTest, BatchSizeOneStillCountsEverything) {
             t.counter("healer_fuzz_execs_total"));
   EXPECT_EQ(t.counter("healer_coverage_edges_total"), result.coverage);
   EXPECT_EQ(t.counter("healer_crash_new_total"), result.unique_bugs);
+}
+
+// Workers are Fuzzers: one worker that publishes after every exec over a
+// one-VM pool must be draw-identical to a standalone Fuzzer with the same
+// options and exec budget.
+TEST(ParallelFuzzTest, OneWorkerMatchesStandaloneFuzzer) {
+  ParallelOptions options;
+  options.base.seed = 20260806;
+  options.base.num_vms = 1;
+  options.num_workers = 1;
+  options.batch_size = 1;
+  options.total_execs = 400;
+  const ParallelResult parallel = RunParallelFuzz(BuiltinTarget(), options);
+
+  Fuzzer fuzzer(BuiltinTarget(), options.base);
+  while (fuzzer.FuzzExecs() < options.total_execs) {
+    fuzzer.Step();
+  }
+  ASSERT_EQ(parallel.fuzz_execs, fuzzer.FuzzExecs());
+  EXPECT_EQ(parallel.coverage, fuzzer.CoverageCount());
+  EXPECT_EQ(parallel.coverage_hash, fuzzer.coverage().Hash());
+  EXPECT_EQ(CorpusHash(parallel.corpus_progs),
+            CorpusHash(fuzzer.corpus().ExportAll()));
+  EXPECT_EQ(parallel.relations, fuzzer.relations().Count());
+  const std::vector<CrashRecord> crashes = fuzzer.crashes().All();
+  EXPECT_FALSE(crashes.empty());
+  ASSERT_EQ(parallel.crash_records.size(), crashes.size());
+  for (size_t i = 0; i < crashes.size(); ++i) {
+    EXPECT_EQ(parallel.crash_records[i].bug, crashes[i].bug) << "crash " << i;
+    EXPECT_EQ(parallel.crash_records[i].shortest_repro,
+              crashes[i].shortest_repro)
+        << "crash " << i;
+  }
+}
+
+// Workers honour FuzzerOptions::guidance: static-only HEALER learns no
+// dynamic relations and runs no learning rounds.
+TEST(ParallelFuzzTest, WorkersHonourGuidance) {
+  if (!kTelemetryEnabled) {
+    GTEST_SKIP() << "telemetry compiled out";
+  }
+  ParallelOptions options;
+  options.base.seed = 17;
+  options.num_workers = 4;
+  options.total_execs = 800;
+  options.base.guidance = GuidanceMode::kStaticOnly;
+  const ParallelResult static_only = RunParallelFuzz(BuiltinTarget(), options);
+  EXPECT_EQ(static_only.relations_dynamic, 0u);
+  EXPECT_EQ(static_only.telemetry.counter("healer_learn_rounds_total"), 0u);
+  EXPECT_GT(static_only.relations_static, 0u);
+
+  options.base.guidance = GuidanceMode::kDefault;
+  const ParallelResult learning = RunParallelFuzz(BuiltinTarget(), options);
+  EXPECT_GT(learning.relations_dynamic, 0u);
+  EXPECT_GT(learning.telemetry.counter("healer_learn_rounds_total"), 0u);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@ Prog Chain(const std::vector<std::string>& names, Rng* rng) {
 // ---- Arg basics ----
 
 TEST(ArgTest, CloneIsDeep) {
-  const Target& target = BuiltinTarget();
   Rng rng(1);
   Prog prog = Chain({"memfd_create", "write$memfd"}, &rng);
   ASSERT_EQ(prog.size(), 2u);

@@ -362,7 +362,7 @@ TEST_F(KvmTest, SetGetRegsRoundTrip) {
             0);
   const uint64_t out = h.OutBuf(32);
   ASSERT_EQ(h.Call("ioctl$KVM_GET_REGS", vcpu_, 0x8090ae81, out), 0);
-  uint64_t r0;
+  uint64_t r0 = 0;
   h.kernel().mem().Read64(out, &r0);
   EXPECT_EQ(r0, 0x1111u);
 }
@@ -389,7 +389,7 @@ TEST_F(TtyTest, LdiscRoundTrip) {
   EXPECT_EQ(h.Call("ioctl$TIOCSETD", fd, 0x5423, 21), 0);  // N_GSM.
   const uint64_t out = h.OutBuf(4);
   EXPECT_EQ(h.Call("ioctl$TIOCGETD", fd, 0x5424, out), 0);
-  uint32_t ldisc;
+  uint32_t ldisc = 0;
   h.kernel().mem().Read32(out, &ldisc);
   EXPECT_EQ(ldisc, 21u);
 }
@@ -539,7 +539,7 @@ TEST(UringTest, SetupRoundsEntries) {
   const uint64_t params = h.OutBuf(4);
   const int64_t fd = h.Call("io_uring_setup", 100, params);
   ASSERT_GE(fd, 0);
-  uint32_t rounded;
+  uint32_t rounded = 0;
   h.kernel().mem().Read32(params, &rounded);
   EXPECT_EQ(rounded, 128u);
 }

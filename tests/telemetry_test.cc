@@ -471,8 +471,8 @@ TEST(TelemetryParallelTest, SnapshotAndFaultStatsAgree) {
   ParallelOptions options;
   options.num_workers = 4;
   options.total_execs = 400;
-  options.fault_plan = FaultPlan::Uniform(0.01);
-  options.trace_capacity = 1 << 10;
+  options.base.fault_plan = FaultPlan::Uniform(0.01);
+  options.base.trace_capacity = 1 << 10;
   const ParallelResult result = RunParallelFuzz(BuiltinTarget(), options);
   const MetricsSnapshot& t = result.telemetry;
   ASSERT_FALSE(t.empty());
